@@ -1,14 +1,16 @@
 //! Micro-benchmarks for the substrates: espresso minimization, LUT
-//! technology mapping, simulated-annealing placement, routing, and
+//! technology mapping, simulated-annealing placement (full and ECO), routing, and
 //! cycle-based netlist simulation throughput. Runs on the in-workspace
 //! `paper_bench::timing` harness (hermetic, no registry deps); writes
 //! `results/bench_substrates.json`.
 
 use emb_fsm::baseline::ff_netlist;
+use emb_fsm::clock_control::attach_emb_clock_control;
+use emb_fsm::map::{map_fsm_into_embs, EmbOptions};
 use emb_fsm::verify::{verify_exhaustive, verify_exhaustive_scalar, OutputTiming};
 use fpga_fabric::device::Device;
-use fpga_fabric::pack::pack;
-use fpga_fabric::place::{place, PlaceOptions};
+use fpga_fabric::pack::{pack, pack_partitioned};
+use fpga_fabric::place::{place, place_incremental, PinnedEntities, PlaceOptions};
 use fpga_fabric::route::{route, RouteOptions};
 use logic_synth::cover::Cover;
 use logic_synth::cube::Cube;
@@ -59,10 +61,10 @@ fn bench_place_route(h: &mut Harness) {
     let netlist = keyb_ff_netlist();
     let packed = pack(&netlist);
     let device = Device::xc2v250();
-    // The gated anneal: PlaceOptions::default() has the criticality cost
-    // term enabled (timing_weight 0.5) — the 1.25x regression gate in
-    // scripts/verify.sh holds with timing on.
-    h.bench("place_sa/keyb", || {
+    // The gated anneal on the FF-baseline netlist: PlaceOptions::default()
+    // has the criticality cost term enabled (timing_weight 0.5) — the
+    // 1.25x regression gate in scripts/verify.sh holds with timing on.
+    h.bench("place_sa_ff/keyb", || {
         place(
             black_box(&netlist),
             &packed,
@@ -77,7 +79,7 @@ fn bench_place_route(h: &mut Harness) {
     });
     // The same anneal wirelength-only: the ratio below records what the
     // timing term costs (or saves, via early-exit rejection) end to end.
-    h.bench("place_sa_wl/keyb", || {
+    h.bench("place_sa_wl_ff/keyb", || {
         place(
             black_box(&netlist),
             &packed,
@@ -91,7 +93,11 @@ fn bench_place_route(h: &mut Harness) {
         )
         .expect("places")
     });
-    h.record_ratio("place_sa_wl_over_timing/keyb", "place_sa_wl/keyb", "place_sa/keyb");
+    h.record_ratio(
+        "place_sa_wl_over_timing_ff/keyb",
+        "place_sa_wl_ff/keyb",
+        "place_sa_ff/keyb",
+    );
     let placement = place(&netlist, &packed, device, PlaceOptions::default()).expect("places");
     h.bench("route/keyb", || {
         route(
@@ -104,6 +110,31 @@ fn bench_place_route(h: &mut Harness) {
     });
 }
 
+fn bench_place_eco(h: &mut Harness) {
+    // Incremental (ECO) placement of keyb's clock-controlled EMB netlist
+    // over its pinned plain-EMB base — the placement the
+    // clock-controlled flow runs. The base placement is set up once;
+    // only the guarded delta anneal is timed.
+    let stg = fsm_model::benchmarks::by_name("keyb").expect("keyb");
+    let emb_opts = EmbOptions::default();
+    let emb = map_fsm_into_embs(&stg, &emb_opts).expect("keyb maps");
+    let base = emb.to_netlist();
+    let base_packed = pack(&base);
+    let (gated, _) = attach_emb_clock_control(&emb, emb_opts.lut_map).expect("clock control");
+    let packed = pack_partitioned(&gated, &base_packed, base.cells().len()).expect("packs");
+    let device = Device::xc2v250();
+    let opts = PlaceOptions {
+        seed: 1,
+        effort: 2.0,
+        ..PlaceOptions::default()
+    };
+    let base_placement = place(&base, &base_packed, device, opts).expect("base places");
+    let pins = PinnedEntities::pin_base(&base_placement, &packed);
+    h.bench("place_eco/keyb", || {
+        place_incremental(black_box(&gated), &packed, device, opts, &pins).expect("eco places")
+    });
+}
+
 fn bench_timing_kernel(h: &mut Harness) {
     // The incremental STA kernel under a placer-move-like edit stream:
     // perturb a rotating window of wire delays, flush, and read back the
@@ -111,8 +142,7 @@ fn bench_timing_kernel(h: &mut Harness) {
     // issues between moves.
     let netlist = keyb_ff_netlist();
     let model = fpga_fabric::timing::DelayModel::default();
-    let mut kernel =
-        fpga_fabric::sta::TimingKernel::new(&netlist, &model).expect("kernel builds");
+    let mut kernel = fpga_fabric::sta::TimingKernel::new(&netlist, &model).expect("kernel builds");
     let nets = kernel.num_nets();
     let mut step = 0u64;
     h.bench("place_timing_kernel/keyb", || {
@@ -120,10 +150,7 @@ fn bench_timing_kernel(h: &mut Harness) {
         for k in 0..8u64 {
             let i = ((step.wrapping_mul(31).wrapping_add(k * 7)) % nets as u64) as usize;
             let bump = 0.01 * ((step + k) % 5) as f64;
-            kernel.set_wire_delay(
-                fpga_fabric::netlist::NetId(i as u32),
-                model.net_base + bump,
-            );
+            kernel.set_wire_delay(fpga_fabric::netlist::NetId(i as u32), model.net_base + bump);
         }
         kernel.flush();
         step = step.wrapping_add(1);
@@ -151,24 +178,14 @@ fn bench_verify(h: &mut Harness) {
     // scalar walk on the same netlist: the ratio is the kernel's whole
     // reason to exist, so both are recorded and verify.sh gates on it.
     h.bench("verify_exhaustive/keyb", || {
-        verify_exhaustive(
-            black_box(&netlist),
-            &stg,
-            OutputTiming::Combinational,
-            16,
-        )
-        .expect("keyb is exhaustively equivalent")
-        .edges_checked
+        verify_exhaustive(black_box(&netlist), &stg, OutputTiming::Combinational, 16)
+            .expect("keyb is exhaustively equivalent")
+            .edges_checked
     });
     h.bench("verify_exhaustive_scalar/keyb", || {
-        verify_exhaustive_scalar(
-            black_box(&netlist),
-            &stg,
-            OutputTiming::Combinational,
-            16,
-        )
-        .expect("keyb is exhaustively equivalent")
-        .edges_checked
+        verify_exhaustive_scalar(black_box(&netlist), &stg, OutputTiming::Combinational, 16)
+            .expect("keyb is exhaustively equivalent")
+            .edges_checked
     });
 }
 
@@ -178,6 +195,7 @@ fn main() {
     bench_synthesis(&mut h);
     bench_techmap(&mut h);
     bench_place_route(&mut h);
+    bench_place_eco(&mut h);
     bench_timing_kernel(&mut h);
     bench_simulation(&mut h);
     bench_verify(&mut h);

@@ -1,8 +1,9 @@
 //! Placement-quality regression gate for the adaptive annealing
-//! schedule: on the bench configuration (`keyb`, seed 1, effort 2.0 —
-//! the same input `benches/substrates.rs` times as `place_sa/keyb`) the
-//! placer must be equal-or-better than the fixed-schedule baseline on
-//! both wirelength objectives while spending measurably fewer moves.
+//! schedule: on the bench configuration (`keyb`'s FF-baseline netlist,
+//! seed 1, effort 2.0 — the input `benches/substrates.rs` times as
+//! `place_sa_ff/keyb`) the placer must be equal-or-better than the
+//! fixed-schedule baseline on both wirelength objectives while spending
+//! measurably fewer moves.
 //!
 //! Baseline (fixed 0.85 cooling, crude T0), recorded before the switch:
 //! Σhpwl = 1772, Σhpwl² = 13248, at 31722 moves.
