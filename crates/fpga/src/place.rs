@@ -3,13 +3,21 @@
 //! Assigns packed entities (CLBs, BRAMs, IOBs) to device sites minimizing
 //! total half-perimeter wirelength (HPWL), blended with a VPR-style
 //! criticality-weighted timing term (see [`PlaceOptions::timing_weight`]).
-//! The schedule is a classic VPR-style anneal scaled by an effort knob.
 //! Placement quality feeds directly into routed wirelength and therefore
 //! interconnect power — the dominant FPGA power component (paper Sec. 2) —
 //! and, through the timing term, into fmax: since the paper's power
 //! numbers scale with clock frequency, a placement that shortens the
 //! critical path (the BRAM address/enable setup loop for EMB FSMs) moves
 //! the bottom-line tables directly.
+//!
+//! There is one annealer (`anneal`) over a set of movable entities.
+//! [`place`] runs it with every entity movable on the full schedule
+//! (acceptance-keyed cooling, quench-polished reheats, scaled by an
+//! effort knob); [`place_incremental`] runs it with only the ECO delta
+//! movable against [`PinnedEntities`], on the short ECO schedule. A
+//! private `Schedule` carries everything the two walks do differently,
+//! and both entry points go through the same guarded two-arm selection
+//! (`pick_guarded`).
 
 use crate::device::Device;
 use crate::netlist::{NetId, Netlist};
@@ -198,6 +206,64 @@ pub(crate) fn build_net_pins(netlist: &Netlist, packed: &PackedDesign) -> Vec<Ve
     pins
 }
 
+/// Per-kind coordinate lists, `[CLBs, BRAMs, IOBs]`, each indexed like
+/// the matching `PackedDesign` list (or, for device sites, in the
+/// device's site order).
+type Locs = [Vec<(usize, usize)>; 3];
+
+/// Per-kind movability, indexed like [`Locs`].
+type Mask = [Vec<bool>; 3];
+
+/// Entity-kind names, indexed like [`Locs`], as the errors report them.
+const KINDS: [&str; 3] = ["CLBs", "BRAMs", "IOBs"];
+
+fn entity(kind: usize, idx: usize) -> EntityId {
+    match kind {
+        0 => EntityId::Clb(idx),
+        1 => EntityId::Bram(idx),
+        _ => EntityId::Iob(idx),
+    }
+}
+
+fn kind_of(e: EntityId) -> (usize, usize) {
+    match e {
+        EntityId::Clb(i) => (0, i),
+        EntityId::Bram(i) => (1, i),
+        EntityId::Iob(i) => (2, i),
+    }
+}
+
+fn at(locs: &Locs, e: EntityId) -> (usize, usize) {
+    let (kind, idx) = kind_of(e);
+    locs[kind][idx]
+}
+
+/// The device's sites per kind, and the first kind the packed design
+/// overflows (`(what, need, have)`), if any.
+fn sites_for(
+    packed: &PackedDesign,
+    device: &Device,
+) -> (Locs, Option<(&'static str, usize, usize)>) {
+    let sites = [device.clb_sites(), device.bram_sites(), device.iob_sites()];
+    let need = [packed.clbs.len(), packed.brams.len(), packed.iobs.len()];
+    let overflow = (0..3)
+        .find(|&k| need[k] > sites[k].len())
+        .map(|k| (KINDS[k], need[k], sites[k].len()));
+    (sites, overflow)
+}
+
+/// The sites of each kind no entity occupies, in site order.
+fn free_sites(locs: &Locs, sites: &Locs) -> Locs {
+    std::array::from_fn(|k| {
+        let used: std::collections::HashSet<(usize, usize)> = locs[k].iter().copied().collect();
+        sites[k]
+            .iter()
+            .copied()
+            .filter(|s| !used.contains(s))
+            .collect()
+    })
+}
+
 /// Cached bounding box of one net's pins, plus the HPWL derived from it.
 /// The anneal keeps one `NetBox` per active net so the cost of a layout
 /// *before* a move is a table lookup instead of a rescan of every pin;
@@ -253,7 +319,81 @@ pub(crate) fn hpwl_of_net(pins: &[EntityId], loc: &dyn Fn(EntityId) -> (usize, u
     NetBox::compute(pins, loc).hpwl
 }
 
-/// Frozen-criticality timing context for the annealers, built only when
+/// The placer's view of the netlist: pins per net, the nets worth costing
+/// (≥ 2 pins), and the active nets touching each entity.
+struct NetModel {
+    pins: Vec<Vec<EntityId>>,
+    active: Vec<NetId>,
+    of_entity: HashMap<EntityId, Vec<NetId>>,
+}
+
+impl NetModel {
+    fn new(netlist: &Netlist, packed: &PackedDesign) -> NetModel {
+        let pins = build_net_pins(netlist, packed);
+        let active: Vec<NetId> = (0..netlist.num_nets())
+            .map(|i| NetId(i as u32))
+            .filter(|n| pins[n.index()].len() >= 2)
+            .collect();
+        let mut of_entity: HashMap<EntityId, Vec<NetId>> = HashMap::new();
+        for &net in &active {
+            for &e in &pins[net.index()] {
+                of_entity.entry(e).or_default().push(net);
+            }
+        }
+        NetModel {
+            pins,
+            active,
+            of_entity,
+        }
+    }
+
+    /// `(Σ hpwl, Σ hpwl²)` over `nets`, optionally with the linear term
+    /// weighted by the timing context's frozen per-net coefficients.
+    fn cost_of(&self, nets: &[NetId], locs: &Locs, timing: Option<&TimingCtx>) -> (f64, f64) {
+        nets.iter().fold((0.0, 0.0), |(lin, sq), n| {
+            let h = hpwl_of_net(&self.pins[n.index()], &|e| at(locs, e));
+            let lin_term = timing.map_or(h, |t| t.coef[n.index()] * h);
+            (lin + lin_term, sq + h * h)
+        })
+    }
+
+    /// `(Σ hpwl, Σ hpwl²)` over every active net.
+    fn cost(&self, locs: &Locs) -> (f64, f64) {
+        self.cost_of(&self.active, locs, None)
+    }
+
+    /// Full rebuild of the per-net bounding-box cache from coordinates.
+    fn boxes(&self, locs: &Locs) -> Vec<NetBox> {
+        let mut boxes = vec![NetBox::EMPTY; self.pins.len()];
+        for &n in &self.active {
+            boxes[n.index()] = NetBox::compute(&self.pins[n.index()], &|e| at(locs, e));
+        }
+        boxes
+    }
+
+    /// The nets a move of `(kind, idx)`, swapped with sibling `other`,
+    /// can change — sorted and deduplicated when two entities move.
+    fn affected(&self, kind: usize, idx: usize, other: Option<usize>) -> Vec<NetId> {
+        let mut v = self
+            .of_entity
+            .get(&entity(kind, idx))
+            .cloned()
+            .unwrap_or_default();
+        if let Some(o) = other {
+            v.extend(
+                self.of_entity
+                    .get(&entity(kind, o))
+                    .cloned()
+                    .unwrap_or_default(),
+            );
+            v.sort_unstable_by_key(|n| n.0);
+            v.dedup();
+        }
+        v
+    }
+}
+
+/// Frozen-criticality timing context for the annealer, built only when
 /// `timing_weight > 0` (and the netlist validates — otherwise the walk
 /// silently degrades to pure wirelength, which `place` historically never
 /// errored on). VPR-style: per-net criticalities are read from the
@@ -317,7 +457,7 @@ impl TimingCtx {
         }
         self.kernel.flush();
         self.refreshes += 1;
-        if self.retime_interval > 0 && self.refreshes % self.retime_interval == 0 {
+        if self.retime_interval > 0 && self.refreshes.is_multiple_of(self.retime_interval) {
             let matched = self.kernel.full_retime();
             debug_assert!(
                 matched,
@@ -374,27 +514,208 @@ impl TimingCtx {
 
     /// The frozen effective cost, recomputed from coordinates (used to
     /// re-score the best-seen snapshot after a coefficient refresh).
-    fn eff_from_locs(
-        &self,
-        active_nets: &[NetId],
-        pins: &[Vec<EntityId>],
-        loc: &dyn Fn(EntityId) -> (usize, usize),
-    ) -> f64 {
-        active_nets
+    fn eff_from_locs(&self, nets: &NetModel, locs: &Locs) -> f64 {
+        nets.active
             .iter()
-            .map(|n| self.coef[n.index()] * hpwl_of_net(&pins[n.index()], loc))
+            .map(|n| self.coef[n.index()] * hpwl_of_net(&nets.pins[n.index()], &|e| at(locs, e)))
             .sum()
     }
 }
 
+/// What the full and the ECO anneal do differently. Both walks are the
+/// same [`anneal`]; the public entry point picks the schedule
+/// ([`Schedule::full`] for [`place`], [`Schedule::eco`] for
+/// [`place_incremental`]) and no option can change it.
+///
+/// The ECO schedule is the older fixed-rate VPR schedule the delta anneal
+/// was tuned with. It is kept rather than folded into the full one
+/// because merging the two changes ECO placements (move counts on every
+/// paper benchmark, coordinates on some), and with them cached ECO
+/// records; that belongs with a change that bumps
+/// [`ALGORITHM_VERSION`].
+#[derive(Debug, Clone, Copy)]
+struct Schedule {
+    /// Mixed into [`PlaceOptions::seed`], so the two walks draw from
+    /// different RNG streams.
+    salt: u64,
+    /// T0 probe size: `movable · per_entity`, clamped to `[min, max]`.
+    t0_samples: (usize, usize, usize),
+    /// T0 when the probe's deltas have no spread (e.g. one movable
+    /// entity): twice the seed layout's mean net cost when set, 1.0
+    /// otherwise.
+    t0_fallback_from_seed: bool,
+    /// Moves per level are `ceil(movable^{4/3} · level_effort)`, at least
+    /// `min_level_moves`.
+    level_effort: f64,
+    min_level_moves: usize,
+    /// Acceptance-keyed five-band cooling, a third of the level budget
+    /// outside the 5–15% plateau band, and an exit temperature that tracks
+    /// the current cost. Otherwise: 0.7/0.85 cooling, a fixed level budget
+    /// and an exit temperature fixed when the walk starts.
+    adaptive: bool,
+    /// Quench-polished reheats after the first cooldown.
+    reheat_cycles: u32,
+    /// Zero-cost moves face a Metropolis test on the Σ hpwl² tie-breaker
+    /// instead of always being accepted.
+    sideways_bias: bool,
+}
+
+impl Schedule {
+    /// The full-placement schedule. Effort beyond 2.0 is spent on
+    /// additional reheat cycles, not on longer levels: per-level budgets
+    /// past ~2·N^{4/3} adapt the temperature and window so slowly (both
+    /// update once per level) that the walk drifts device-wide before it
+    /// cools, while extra quench-polished restarts are independent draws
+    /// from the basin-hop distribution — min over draws keeps improving
+    /// where one long cooldown stalls.
+    fn full(opts: &PlaceOptions) -> Schedule {
+        let effort_per_cycle = opts.effort.min(2.0);
+        Schedule {
+            salt: 0x9e37_79b9_7f4a_7c15,
+            t0_samples: (2, 64, 1024),
+            t0_fallback_from_seed: true,
+            level_effort: effort_per_cycle,
+            min_level_moves: 1,
+            adaptive: true,
+            reheat_cycles: (opts.effort / effort_per_cycle.max(f64::MIN_POSITIVE)).round() as u32,
+            sideways_bias: true,
+        }
+    }
+
+    /// The ECO (delta) schedule: one short fixed-rate cooldown.
+    fn eco(opts: &PlaceOptions) -> Schedule {
+        Schedule {
+            salt: 0x0ec0_5eed_ba5e_11f7,
+            t0_samples: (4, 32, 256),
+            t0_fallback_from_seed: false,
+            level_effort: opts.effort.max(0.1),
+            min_level_moves: 16,
+            adaptive: false,
+            reheat_cycles: 0,
+            sideways_bias: false,
+        }
+    }
+
+    /// `(mid, full)` moves per level for `movable` entities. Adaptive
+    /// levels run the mid budget except in the plateau-diffusion band
+    /// (acceptance 5–15%): rlim has shrunk to 1 there, zero-cost sideways
+    /// steps drift across equal-cost shelves into valleys the
+    /// deterministic quench cannot see, and that is where the final
+    /// quality is won. The adaptive cooling visits ~3× more levels over
+    /// the same temperature span than a fixed 0.85 rate, hence a third.
+    fn level_moves(&self, movable: usize) -> (usize, usize) {
+        let full = (((movable as f64).powf(4.0 / 3.0) * self.level_effort).ceil() as usize)
+            .max(self.min_level_moves);
+        if self.adaptive {
+            ((full / 3).max(1), full)
+        } else {
+            (full, full)
+        }
+    }
+
+    /// Temperature factor after a level with acceptance rate `success`.
+    /// Adaptive (VPR): linger where moves are being usefully sorted
+    /// (mid-range acceptance), sprint through the too-hot (α ≈ 1: a random
+    /// walk) and frozen (α ≤ 5%: rare unit perturbations) ends.
+    fn cooling(&self, success: f64) -> f64 {
+        if !self.adaptive {
+            return if success > 0.8 { 0.7 } else { 0.85 };
+        }
+        if success > 0.96 {
+            0.5
+        } else if success > 0.8 {
+            0.9
+        } else if success > 0.15 {
+            0.95
+        } else if success > 0.05 {
+            0.8
+        } else {
+            0.5
+        }
+    }
+}
+
+/// One proposed move: entity `idx` of `kind` from `from` to `to`, with
+/// sibling `other` (if any) swapped back onto `from`.
+#[derive(Debug, Clone, Copy)]
+struct Move {
+    kind: usize,
+    idx: usize,
+    other: Option<usize>,
+    from: (usize, usize),
+    to: (usize, usize),
+}
+
+impl Move {
+    fn apply(&self, locs: &mut Locs) {
+        locs[self.kind][self.idx] = self.to;
+        if let Some(o) = self.other {
+            locs[self.kind][o] = self.from;
+        }
+    }
+
+    fn revert(&self, locs: &mut Locs) {
+        locs[self.kind][self.idx] = self.from;
+        if let Some(o) = self.other {
+            locs[self.kind][o] = self.to;
+        }
+    }
+}
+
+/// Proposes a random move: a movable entity (uniform over `movers`) goes
+/// to a free site of its kind or swaps with a movable sibling, in either
+/// case within Chebyshev radius `r` of its site. `None` when the window
+/// holds neither. With every entity movable, `movers` lists CLBs, then
+/// BRAMs, then IOBs, so the pick is population-weighted across kinds.
+fn propose(
+    rng: &mut SmallRng,
+    movers: &[(usize, usize)],
+    locs: &Locs,
+    free: &Locs,
+    movable: &Mask,
+    r: f64,
+) -> Option<Move> {
+    let in_window = |a: (usize, usize), b: (usize, usize)| -> bool {
+        (a.0.abs_diff(b.0).max(a.1.abs_diff(b.1)) as f64) <= r
+    };
+    let (kind, idx) = movers[rng.random_range(0..movers.len())];
+    let from = locs[kind][idx];
+    let free_cands: Vec<usize> = free[kind]
+        .iter()
+        .enumerate()
+        .filter(|&(_, &s)| in_window(from, s))
+        .map(|(f, _)| f)
+        .collect();
+    let swap_cands: Vec<usize> = (0..locs[kind].len())
+        .filter(|&o| o != idx && movable[kind][o] && in_window(from, locs[kind][o]))
+        .collect();
+    let use_free = !free_cands.is_empty() && (swap_cands.is_empty() || rng.random_bool(0.5));
+    let (other, to) = if use_free {
+        let f = free_cands[rng.random_range(0..free_cands.len())];
+        (None, free[kind][f])
+    } else if !swap_cands.is_empty() {
+        let o = swap_cands[rng.random_range(0..swap_cands.len())];
+        (Some(o), locs[kind][o])
+    } else {
+        return None;
+    };
+    Some(Move {
+        kind,
+        idx,
+        other,
+        from,
+        to,
+    })
+}
+
 /// Deterministic greedy descent over the full single-move neighborhood
 /// (every free site and every same-type swap, best improvement per
-/// entity), repeated until a full pass finds no improving move. Used
-/// twice by [`place`]: to turn the ordered seed layout into a baseline
-/// local optimum before annealing, and to polish the anneal's winner —
-/// so the returned placement can never be worse than plain descent,
-/// whatever the effort. (The first real run of the suite caught a
-/// high-effort anneal freezing at HPWL 17 on a layout where low effort
+/// entity), repeated until a full pass finds no improving move. The
+/// annealer uses it to turn the seed layout into a baseline local optimum
+/// before annealing, to polish each reheat's incumbent, and to polish the
+/// winner — so the returned placement can never be worse than plain
+/// descent, whatever the effort. (The first real run of the suite caught
+/// a high-effort anneal freezing at HPWL 17 on a layout where low effort
 /// reached 8; this phase is the in-source fix.)
 ///
 /// Moves are ranked lexicographically by (Σ hpwl, Σ hpwl²): the linear
@@ -403,162 +724,89 @@ impl TimingCtx {
 /// nets — a cheap timing proxy, since the critical path is hostage to
 /// its longest hops. Total HPWL never increases, so the effort-
 /// monotonicity argument above is unaffected.
-/// When `movable` is given (ECO mode), only entities whose mask entry is
-/// `true` are relocated, and swap partners are restricted to movable
-/// siblings — pinned entities keep their exact coordinates.
+/// Only entities whose `movable` entry is `true` are relocated, and swap
+/// partners are restricted to movable siblings — pinned entities keep
+/// their exact coordinates.
 /// When `timing` is given, the linear term is the frozen effective cost
 /// `Σ coef·hpwl` instead of raw HPWL, so the descent pulls critical nets
-/// in harder than don't-care ones; `None` reproduces the historical
-/// wirelength-only descent exactly.
-#[allow(clippy::too_many_arguments)]
+/// in harder than don't-care ones; `None` is the wirelength-only descent.
 fn quench(
-    pins: &[Vec<EntityId>],
-    nets_of_entity: &HashMap<EntityId, Vec<NetId>>,
-    clb_sites: &[(usize, usize)],
-    bram_sites: &[(usize, usize)],
-    iob_sites: &[(usize, usize)],
-    clb_loc: &mut Vec<(usize, usize)>,
-    bram_loc: &mut Vec<(usize, usize)>,
-    iob_loc: &mut Vec<(usize, usize)>,
-    movable: Option<[&[bool]; 3]>,
+    nets: &NetModel,
+    sites: &Locs,
+    locs: &mut Locs,
+    movable: &Mask,
     timing: Option<&TimingCtx>,
 ) {
-    let free_of = |locs: &[(usize, usize)], sites: &[(usize, usize)]| -> Vec<(usize, usize)> {
-        let used: std::collections::HashSet<(usize, usize)> = locs.iter().copied().collect();
-        sites
-            .iter()
-            .copied()
-            .filter(|s| !used.contains(s))
-            .collect()
+    let mut free = free_sites(locs, sites);
+    // `beats` implements the lexicographic (Δlin, Δsq) order with a small
+    // epsilon so f64 noise cannot masquerade as progress (deltas are
+    // integer-valued in exact arithmetic).
+    let beats = |cand: (f64, f64), incumbent: (f64, f64)| -> bool {
+        cand.0 < incumbent.0 - 1e-9 || (cand.0 < incumbent.0 + 1e-9 && cand.1 < incumbent.1 - 1e-9)
     };
-    let mut free_clb = free_of(clb_loc, clb_sites);
-    let mut free_bram = free_of(bram_loc, bram_sites);
-    let mut free_iob = free_of(iob_loc, iob_sites);
-    let counts = [clb_loc.len(), bram_loc.len(), iob_loc.len()];
-    let may_move = |kind: usize, idx: usize| movable.is_none_or(|m| m[kind][idx]);
     for _ in 0..16 {
         let mut improved = false;
         for kind in 0..3usize {
-            for idx in 0..counts[kind] {
-                if !may_move(kind, idx) {
+            for idx in 0..locs[kind].len() {
+                if !movable[kind][idx] {
                     continue;
                 }
-                let entity = match kind {
-                    0 => EntityId::Clb(idx),
-                    1 => EntityId::Bram(idx),
-                    _ => EntityId::Iob(idx),
-                };
-                let Some(my_nets) = nets_of_entity.get(&entity) else {
+                let Some(my_nets) = nets.of_entity.get(&entity(kind, idx)) else {
                     continue;
                 };
-                let cur_site = match kind {
-                    0 => clb_loc[idx],
-                    1 => bram_loc[idx],
-                    _ => iob_loc[idx],
-                };
-                // Evaluate candidate relocations with an override closure
-                // (no mutation until the winning move is known); returns
-                // (Σ hpwl, Σ hpwl²) over the given nets.
-                let eval = |a: EntityId,
-                            sa: (usize, usize),
-                            b: Option<(EntityId, (usize, usize))>,
-                            nets: &[NetId]|
-                 -> (f64, f64) {
-                    let loc = |e: EntityId| {
-                        if e == a {
-                            return sa;
-                        }
-                        if let Some((be, bs)) = b {
-                            if e == be {
-                                return bs;
-                            }
-                        }
-                        match e {
-                            EntityId::Clb(i) => clb_loc[i],
-                            EntityId::Bram(i) => bram_loc[i],
-                            EntityId::Iob(i) => iob_loc[i],
-                        }
-                    };
-                    nets.iter().fold((0.0, 0.0), |(lin, sq), n| {
-                        let h = hpwl_of_net(&pins[n.index()], &loc);
-                        let lin_term = match timing {
-                            Some(t) => t.coef[n.index()] * h,
-                            None => h,
-                        };
-                        (lin + lin_term, sq + h * h)
-                    })
-                };
-                // `beats` implements the lexicographic (Δlin, Δsq) order
-                // with a small epsilon so f64 noise cannot masquerade as
-                // progress (deltas are integer-valued in exact arithmetic).
-                let beats = |cand: (f64, f64), incumbent: (f64, f64)| -> bool {
-                    cand.0 < incumbent.0 - 1e-9
-                        || (cand.0 < incumbent.0 + 1e-9 && cand.1 < incumbent.1 - 1e-9)
-                };
-                let before = eval(entity, cur_site, None, my_nets);
+                let cur_site = locs[kind][idx];
+                // Candidates are scored by applying them to `locs` and
+                // reverting before the next one; nothing sticks until the
+                // winning move is known.
+                let before = nets.cost_of(my_nets, locs, timing);
                 let mut best_delta = (0.0f64, 0.0f64);
-                let mut best_move: Option<(Option<usize>, (usize, usize))> = None;
-                let free = match kind {
-                    0 => &free_clb,
-                    1 => &free_bram,
-                    _ => &free_iob,
-                };
-                for (f, &site) in free.iter().enumerate() {
-                    let after = eval(entity, site, None, my_nets);
+                // (free-pool index, or swap partner; target site)
+                let mut best_move: Option<(Result<usize, usize>, (usize, usize))> = None;
+                for (f, &site) in free[kind].iter().enumerate() {
+                    locs[kind][idx] = site;
+                    let after = nets.cost_of(my_nets, locs, timing);
+                    locs[kind][idx] = cur_site;
                     let delta = (after.0 - before.0, after.1 - before.1);
                     if beats(delta, best_delta) {
                         best_delta = delta;
-                        best_move = Some((Some(f), site));
+                        best_move = Some((Ok(f), site));
                     }
                 }
-                for o in 0..counts[kind] {
-                    if o == idx || !may_move(kind, o) {
+                for o in 0..locs[kind].len() {
+                    if o == idx || !movable[kind][o] {
                         continue;
                     }
-                    let other = match kind {
-                        0 => EntityId::Clb(o),
-                        1 => EntityId::Bram(o),
-                        _ => EntityId::Iob(o),
+                    let swap = Move {
+                        kind,
+                        idx,
+                        other: Some(o),
+                        from: cur_site,
+                        to: locs[kind][o],
                     };
-                    let other_site = match kind {
-                        0 => clb_loc[o],
-                        1 => bram_loc[o],
-                        _ => iob_loc[o],
-                    };
-                    let mut nets: Vec<NetId> = my_nets.clone();
-                    nets.extend(nets_of_entity.get(&other).cloned().unwrap_or_default());
-                    nets.sort_unstable_by_key(|n| n.0);
-                    nets.dedup();
-                    let b0 = eval(entity, cur_site, Some((other, other_site)), &nets);
-                    let a0 = eval(entity, other_site, Some((other, cur_site)), &nets);
+                    let both = nets.affected(kind, idx, Some(o));
+                    let b0 = nets.cost_of(&both, locs, timing);
+                    swap.apply(locs);
+                    let a0 = nets.cost_of(&both, locs, timing);
+                    swap.revert(locs);
                     let delta = (a0.0 - b0.0, a0.1 - b0.1);
                     if beats(delta, best_delta) {
                         best_delta = delta;
-                        best_move = Some((None, other_site));
+                        best_move = Some((Err(o), swap.to));
                     }
                 }
-                if let Some((free_pos, site)) = best_move {
-                    let locs: &mut Vec<(usize, usize)> = match kind {
-                        0 => &mut *clb_loc,
-                        1 => &mut *bram_loc,
-                        _ => &mut *iob_loc,
-                    };
-                    if let Some(f) = free_pos {
-                        locs[idx] = site;
-                        let free = match kind {
-                            0 => &mut free_clb,
-                            1 => &mut free_bram,
-                            _ => &mut free_iob,
-                        };
-                        free.swap_remove(f);
-                        free.push(cur_site);
-                    } else {
-                        let o = locs.iter().position(|&s| s == site).expect("swap target");
-                        locs[o] = cur_site;
-                        locs[idx] = site;
+                match best_move {
+                    Some((Ok(f), site)) => {
+                        locs[kind][idx] = site;
+                        free[kind].swap_remove(f);
+                        free[kind].push(cur_site);
                     }
-                    improved = true;
+                    Some((Err(o), site)) => {
+                        locs[kind][o] = cur_site;
+                        locs[kind][idx] = site;
+                    }
+                    None => continue,
                 }
+                improved = true;
             }
         }
         if !improved {
@@ -567,21 +815,31 @@ fn quench(
     }
 }
 
-/// Picks the winner of a guarded two-arm placement: the candidate with
-/// the smaller STA estimate ([`crate::sta::estimate_critical_ns`] over
-/// HPWL-derived wire delays) wins; an exact tie falls to the better
-/// `(hpwl, hpwl_sq)` pair, then to the blind arm. Because the blind arm
-/// is bit-identical to a `timing_weight = 0` run, the chosen estimate is
-/// never worse than wirelength-only placement — deterministically, per
-/// design, not just in expectation. `moves` and `budget` report the
-/// combined spend of both arms.
+/// Runs one placement arm (`arm(opts)`) or, with the timing term enabled
+/// (`timing_weight > 0`), a *guarded pair*: the wirelength-only arm
+/// (bit-identical to a `timing_weight = 0` run) and the
+/// criticality-weighted arm both run, and the candidate with the smaller
+/// STA estimate ([`crate::sta::estimate_critical_ns`] over HPWL-derived
+/// wire delays) wins; an exact tie falls to the better `(hpwl, hpwl_sq)`
+/// pair, then to the blind arm. The chosen estimate is therefore never
+/// worse than wirelength-only placement — deterministically, per design,
+/// not just in expectation. `moves` and `budget` report the combined
+/// spend of both arms (so the effective move budget is up to
+/// `2 · max_moves`).
 fn pick_guarded(
     netlist: &Netlist,
     packed: &PackedDesign,
     opts: &PlaceOptions,
-    blind: Placement,
-    timed: Placement,
+    arm: impl Fn(&PlaceOptions) -> Placement,
 ) -> Placement {
+    if opts.timing_weight <= 0.0 || opts.timing_weight.is_nan() {
+        return arm(opts);
+    }
+    let blind = arm(&PlaceOptions {
+        timing_weight: 0.0,
+        ..*opts
+    });
+    let timed = arm(opts);
     let estimate = |p: &Placement| {
         crate::sta::estimate_critical_ns(netlist, packed, p, &opts.delay).unwrap_or(f64::INFINITY)
     };
@@ -600,17 +858,15 @@ fn pick_guarded(
     chosen
 }
 
-/// Places a packed design on a device.
+/// Places a packed design on a device: every entity is movable, seeded on
+/// the first sites of its kind and annealed on the full schedule.
 ///
-/// With the timing term enabled (`timing_weight > 0`) this is a *guarded
-/// pair* of anneals: the wirelength-only arm (bit-identical to a
-/// `timing_weight = 0` run) and the criticality-weighted arm both run,
-/// and [`pick_guarded`] keeps whichever ends with the better STA
-/// estimate. The guard is what lets `scripts/verify.sh` require the
-/// placer's fmax estimate to be no worse than wirelength-only placement
-/// on every paper benchmark, not merely in geomean; [`Placement::moves`]
-/// then reports the combined spend of both arms (so the effective move
-/// budget is up to `2 · max_moves`).
+/// With the timing term enabled (`timing_weight > 0`) this is the guarded
+/// pair of anneals [`pick_guarded`] describes. The guard is what lets
+/// `scripts/verify.sh` require the placer's fmax estimate to be no worse
+/// than wirelength-only placement on every paper benchmark, not merely in
+/// geomean; [`Placement::moves`] then reports the combined spend of both
+/// arms.
 ///
 /// # Errors
 ///
@@ -621,298 +877,149 @@ pub fn place(
     device: Device,
     opts: PlaceOptions,
 ) -> Result<Placement, PlaceError> {
-    if opts.timing_weight > 0.0 {
-        let blind = place_core(
-            netlist,
-            packed,
-            device,
-            PlaceOptions {
-                timing_weight: 0.0,
-                ..opts
-            },
-        )?;
-        let timed = place_core(netlist, packed, device, opts)?;
-        return Ok(pick_guarded(netlist, packed, &opts, blind, timed));
+    let (sites, overflow) = sites_for(packed, &device);
+    if let Some((what, need, have)) = overflow {
+        return Err(PlaceError::DoesNotFit { what, need, have });
     }
-    place_core(netlist, packed, device, opts)
+    let counts = [packed.clbs.len(), packed.brams.len(), packed.iobs.len()];
+    let seed: Locs = std::array::from_fn(|k| sites[k][..counts[k]].to_vec());
+    let movable: Mask = counts.map(|n| vec![true; n]);
+    let nets = NetModel::new(netlist, packed);
+    Ok(pick_guarded(netlist, packed, &opts, |o| {
+        anneal(
+            netlist,
+            &nets,
+            device,
+            &sites,
+            seed.clone(),
+            &movable,
+            o,
+            Schedule::full(o),
+        )
+    }))
 }
 
-/// One arm of [`place`]: the annealing core, wirelength-only at
-/// `timing_weight = 0`, criticality-weighted otherwise.
-fn place_core(
-    netlist: &Netlist,
-    packed: &PackedDesign,
+/// A finished placement of `locs`, with its exact costs.
+fn finish(
     device: Device,
-    opts: PlaceOptions,
-) -> Result<Placement, PlaceError> {
-    let clb_sites = device.clb_sites();
-    let bram_sites = device.bram_sites();
-    let iob_sites = device.iob_sites();
-    if packed.clbs.len() > clb_sites.len() {
-        return Err(PlaceError::DoesNotFit {
-            what: "CLBs",
-            need: packed.clbs.len(),
-            have: clb_sites.len(),
-        });
+    locs: Locs,
+    nets: &NetModel,
+    moves: u64,
+    budget: BudgetOutcome,
+) -> Placement {
+    let (hpwl, hpwl_sq) = nets.cost(&locs);
+    let [clb_loc, bram_loc, iob_loc] = locs;
+    Placement {
+        device,
+        clb_loc,
+        bram_loc,
+        iob_loc,
+        hpwl,
+        hpwl_sq,
+        moves,
+        budget,
     }
-    if packed.brams.len() > bram_sites.len() {
-        return Err(PlaceError::DoesNotFit {
-            what: "BRAMs",
-            need: packed.brams.len(),
-            have: bram_sites.len(),
-        });
-    }
-    if packed.iobs.len() > iob_sites.len() {
-        return Err(PlaceError::DoesNotFit {
-            what: "IOBs",
-            need: packed.iobs.len(),
-            have: iob_sites.len(),
-        });
-    }
+}
 
-    let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x9e37_79b9_7f4a_7c15);
-
-    // Initial assignment: entities on the first sites, then anneal.
-    let mut clb_loc: Vec<(usize, usize)> = clb_sites[..packed.clbs.len()].to_vec();
-    let mut bram_loc: Vec<(usize, usize)> = bram_sites[..packed.brams.len()].to_vec();
-    let mut iob_loc: Vec<(usize, usize)> = iob_sites[..packed.iobs.len()].to_vec();
-
-    let pins = build_net_pins(netlist, packed);
-    // Nets worth costing (≥ 2 pins).
-    let active_nets: Vec<NetId> = (0..netlist.num_nets())
-        .map(|i| NetId(i as u32))
-        .filter(|n| pins[n.index()].len() >= 2)
+/// The annealer shared by [`place`] and [`place_incremental`]: one arm
+/// (wirelength-only at `timing_weight = 0`, criticality-weighted
+/// otherwise) over the `movable` entities of the seed layout `locs`; the
+/// others never leave their sites.
+///
+/// The walk quenches the seed into a local optimum, measures T0 there,
+/// and anneals with VPR range limiting and best-seen tracking; `schedule`
+/// decides cooling, level budgets, exit, reheats and the sideways bias.
+/// The best layout seen is polished by a final quench and returned.
+#[allow(clippy::too_many_arguments)]
+fn anneal(
+    netlist: &Netlist,
+    nets: &NetModel,
+    device: Device,
+    sites: &Locs,
+    mut locs: Locs,
+    movable: &Mask,
+    opts: &PlaceOptions,
+    schedule: Schedule,
+) -> Placement {
+    // Movable entities, flattened for uniform random picks.
+    let movers: Vec<(usize, usize)> = (0..3)
+        .flat_map(|k| {
+            (0..movable[k].len())
+                .filter(move |&i| movable[k][i])
+                .map(move |i| (k, i))
+        })
         .collect();
-    // Entity -> nets touching it (for incremental cost).
-    let mut nets_of_entity: HashMap<EntityId, Vec<NetId>> = HashMap::new();
-    for &net in &active_nets {
-        for &e in &pins[net.index()] {
-            nets_of_entity.entry(e).or_default().push(net);
-        }
+    if movers.is_empty() || nets.active.is_empty() {
+        return finish(device, locs, nets, 0, BudgetOutcome::Completed);
     }
-
-    let num_entities = packed.num_entities();
-    if num_entities == 0 || active_nets.is_empty() {
-        return Ok(Placement {
-            device,
-            clb_loc,
-            bram_loc,
-            iob_loc,
-            hpwl: 0.0,
-            hpwl_sq: 0.0,
-            moves: 0,
-            budget: BudgetOutcome::Completed,
-        });
-    }
+    let seed_cost = nets.cost(&locs).0;
 
     // Timing-driven mode: one incremental STA kernel for the whole anneal
     // (built here, refreshed per level, delta-updated per accepted move).
     // `timing_weight = 0` skips all of it and the walk below is
     // byte-identical to the wirelength-only placer.
     let mut timing = if opts.timing_weight > 0.0 {
-        TimingCtx::build(netlist, &opts)
+        TimingCtx::build(netlist, opts)
     } else {
         None
     };
 
-    let cost_all = |clb_loc: &Vec<(usize, usize)>,
-                    bram_loc: &Vec<(usize, usize)>,
-                    iob_loc: &Vec<(usize, usize)>|
-     -> f64 {
-        let loc = |e: EntityId| match e {
-            EntityId::Clb(i) => clb_loc[i],
-            EntityId::Bram(i) => bram_loc[i],
-            EntityId::Iob(i) => iob_loc[i],
-        };
-        active_nets
-            .iter()
-            .map(|n| hpwl_of_net(&pins[n.index()], &loc))
-            .sum()
-    };
-    // Full rebuild of the per-net bounding-box cache from coordinates;
-    // used to seed the anneal and to refresh after each reheat quench
-    // (the quench moves entities without maintaining the cache).
-    let cache_of = |clb_loc: &Vec<(usize, usize)>,
-                    bram_loc: &Vec<(usize, usize)>,
-                    iob_loc: &Vec<(usize, usize)>|
-     -> Vec<NetBox> {
-        let loc = |e: EntityId| match e {
-            EntityId::Clb(i) => clb_loc[i],
-            EntityId::Bram(i) => bram_loc[i],
-            EntityId::Iob(i) => iob_loc[i],
-        };
-        let mut boxes = vec![NetBox::EMPTY; pins.len()];
-        for &n in &active_nets {
-            boxes[n.index()] = NetBox::compute(&pins[n.index()], &loc);
-        }
-        boxes
-    };
-
-    let cost = cost_all(&clb_loc, &bram_loc, &iob_loc);
-
-    // Deterministic descent baseline: quench the ordered seed layout
-    // into a local optimum. The anneal explores FROM this quenched
-    // layout — the fixed-T0 schedule this replaces had to start from the
-    // raw seed (its hand-picked T0 was calibrated against the seed's
-    // average net cost; starting it quenched left the walk too cold to
-    // escape the baseline's basin), burning more than half its moves
-    // re-descending to costs the quench had already reached. With T0
-    // *measured* at the quenched layout (below), the walk starts exactly
-    // warm enough to hop between nearby basins without losing what the
-    // descent already won — and best-seen tracking starts at the
-    // baseline, so no effort level can return anything worse than plain
-    // greedy descent.
-    quench(
-        &pins,
-        &nets_of_entity,
-        &clb_sites,
-        &bram_sites,
-        &iob_sites,
-        &mut clb_loc,
-        &mut bram_loc,
-        &mut iob_loc,
-        None,
-        None,
-    );
-    let base_cost = cost_all(&clb_loc, &bram_loc, &iob_loc);
-    let base_clb = clb_loc.clone();
-    let base_bram = bram_loc.clone();
-    let base_iob = iob_loc.clone();
-
+    // Deterministic descent baseline: quench the seed layout into a local
+    // optimum. The anneal explores FROM this quenched layout — a fixed-T0
+    // schedule had to start from the raw seed (its hand-picked T0 was
+    // calibrated against the seed's average net cost; starting it
+    // quenched left the walk too cold to escape the baseline's basin),
+    // burning more than half its moves re-descending to costs the quench
+    // had already reached. With T0 *measured* at the quenched layout
+    // (below), the walk starts exactly warm enough to hop between nearby
+    // basins without losing what the descent already won — and best-seen
+    // tracking starts at the baseline, so no effort level can return
+    // anything worse than plain greedy descent.
+    quench(nets, sites, &mut locs, movable, None);
+    let mut rng = SmallRng::seed_from_u64(opts.seed ^ schedule.salt);
     // Free-site pools per type (the quench may have moved entities onto
     // any site, so derive the pools from actual occupancy).
-    let free_of = |locs: &[(usize, usize)], sites: &[(usize, usize)]| -> Vec<(usize, usize)> {
-        let used: std::collections::HashSet<(usize, usize)> = locs.iter().copied().collect();
-        sites
-            .iter()
-            .copied()
-            .filter(|s| !used.contains(s))
-            .collect()
-    };
-    let mut free_clb = free_of(&clb_loc, &clb_sites);
-    let mut free_bram = free_of(&bram_loc, &bram_sites);
-    let mut free_iob = free_of(&iob_loc, &iob_sites);
+    let mut free = free_sites(&locs, sites);
 
-    // Anneal. The walk returns the BEST configuration it visits, not the
-    // final one: at nonzero temperature the walk may drift uphill just
-    // before freezing, which made high-effort runs occasionally finish
-    // worse than low-effort ones (caught by
-    // `annealing_improves_over_initial` the first time the suite ran).
     // VPR-style range limiting: moves are confined to a window of radius
     // `rlim` around the entity, and the window shrinks as the acceptance
     // rate drops (target ~44%, Betz & Rose). Without it, low-temperature
     // proposals are device-wide jumps that are almost always rejected, so
     // a high-effort walk freezes wherever the hot phase left it instead of
-    // refining locally — `annealing_improves_over_initial` caught exactly
-    // that on its first real run (high effort froze at HPWL 17 on a
-    // configuration where low effort reached 8).
-    let span = clb_sites
+    // refining locally. The walk starts from a local optimum, so it opens
+    // with a *basin hop* window — a few sites wide — rather than the
+    // device-wide window a melt would use (rlim can re-grow if the
+    // acceptance rate says the reheat overshot).
+    let span = sites
         .iter()
-        .chain(bram_sites.iter())
-        .chain(iob_sites.iter())
+        .flatten()
         .map(|&(x, y)| x.max(y))
         .max()
         .unwrap_or(1) as f64;
-    let in_window = |a: (usize, usize), b: (usize, usize), r: f64| -> bool {
-        let dx = a.0.abs_diff(b.0);
-        let dy = a.1.abs_diff(b.1);
-        (dx.max(dy) as f64) <= r
-    };
-    // The walk starts from a local optimum, so it opens with a *basin
-    // hop* window — a few sites wide — rather than the device-wide
-    // window a melt would use (rlim can re-grow if the acceptance rate
-    // says the reheat overshot).
     let w0 = (span / 4.0).clamp(2.0, span);
 
     // Adaptive initial temperature (VPR, after Betz & Rose): probe the
-    // move distribution by evaluating — not applying — a batch of random
+    // move distribution by evaluating — not keeping — a batch of random
     // moves from the quenched layout *within the starting window*, and
-    // set T0 to the stddev of the sampled deltas: a typical local
-    // perturbation is accepted with fair odds — a reheat, not a melt.
-    // The previous hand-picked T0 (proportional to the seed layout's
-    // average net cost) over-heated small designs and under-heated
-    // congested ones, and forced the walk to re-descend from a
-    // temperature where device-wide jumps were routinely accepted —
-    // re-randomizing what the quench had already won, then spending more
-    // than half of every run's moves climbing back down.
+    // set T0 to a third of the stddev of the sampled deltas: a typical
+    // local perturbation is accepted with modest odds — a reheat, not a
+    // melt. The textbook 20σ (99% acceptance) re-randomizes the quenched
+    // layout into a random walk whose whole descent best-seen tracking
+    // then ignores, and even 1σ was measured to climb hundreds of cost
+    // units before cooling caught up.
     let t0 = {
+        let (per_entity, min, max) = schedule.t0_samples;
         let mut deltas: Vec<f64> = Vec::new();
-        let samples = (num_entities * 2).clamp(64, 1024);
-        for _ in 0..samples {
-            let pick = rng.random_range(0..num_entities);
-            let (kind, idx) = if pick < packed.clbs.len() {
-                (0usize, pick)
-            } else if pick < packed.clbs.len() + packed.brams.len() {
-                (1, pick - packed.clbs.len())
-            } else {
-                (2, pick - packed.clbs.len() - packed.brams.len())
-            };
-            let entity = match kind {
-                0 => EntityId::Clb(idx),
-                1 => EntityId::Bram(idx),
-                _ => EntityId::Iob(idx),
-            };
-            let (locs, free, count) = match kind {
-                0 => (&clb_loc, &free_clb, packed.clbs.len()),
-                1 => (&bram_loc, &free_bram, packed.brams.len()),
-                _ => (&iob_loc, &free_iob, packed.iobs.len()),
-            };
-            let here = locs[idx];
-            let free_cands: Vec<usize> = free
-                .iter()
-                .enumerate()
-                .filter(|&(_, &s)| in_window(here, s, w0))
-                .map(|(f, _)| f)
-                .collect();
-            let swap_cands: Vec<usize> = (0..count)
-                .filter(|&o| o != idx && in_window(here, locs[o], w0))
-                .collect();
-            let use_free =
-                !free_cands.is_empty() && (swap_cands.is_empty() || rng.random_bool(0.5));
-            let (other, new_site) = if use_free {
-                (
-                    None,
-                    free[free_cands[rng.random_range(0..free_cands.len())]],
-                )
-            } else if !swap_cands.is_empty() {
-                let o = swap_cands[rng.random_range(0..swap_cands.len())];
-                let oe = match kind {
-                    0 => EntityId::Clb(o),
-                    1 => EntityId::Bram(o),
-                    _ => EntityId::Iob(o),
-                };
-                (Some(oe), locs[o])
-            } else {
+        for _ in 0..(movers.len() * per_entity).clamp(min, max) {
+            let Some(mv) = propose(&mut rng, &movers, &locs, &free, movable, w0) else {
                 continue;
             };
-            let mut affected: Vec<NetId> = nets_of_entity.get(&entity).cloned().unwrap_or_default();
-            if let Some(oe) = other {
-                affected.extend(nets_of_entity.get(&oe).cloned().unwrap_or_default());
-                affected.sort_unstable_by_key(|n| n.0);
-                affected.dedup();
-            }
-            let eval = |moved: bool| -> f64 {
-                let loc = |e: EntityId| {
-                    if moved {
-                        if e == entity {
-                            return new_site;
-                        }
-                        if other == Some(e) {
-                            return here;
-                        }
-                    }
-                    match e {
-                        EntityId::Clb(i) => clb_loc[i],
-                        EntityId::Bram(i) => bram_loc[i],
-                        EntityId::Iob(i) => iob_loc[i],
-                    }
-                };
-                affected
-                    .iter()
-                    .map(|n| hpwl_of_net(&pins[n.index()], &loc))
-                    .sum()
-            };
-            deltas.push(eval(true) - eval(false));
+            let affected = nets.affected(mv.kind, mv.idx, mv.other);
+            let before = nets.cost_of(&affected, &locs, None).0;
+            mv.apply(&mut locs);
+            let after = nets.cost_of(&affected, &locs, None).0;
+            mv.revert(&mut locs);
+            deltas.push(after - before);
         }
         let n = deltas.len() as f64;
         let sd = if deltas.is_empty() {
@@ -922,81 +1029,64 @@ fn place_core(
             (deltas.iter().map(|d| (d - mean) * (d - mean)).sum::<f64>() / n).sqrt()
         };
         if sd > 0.0 {
-            // A third of a standard deviation accepts a typical uphill
-            // step with modest odds — a reheat, not a melt. The textbook
-            // 20σ (99% acceptance) buys nothing here: it re-randomizes
-            // the quenched layout into a random walk whose whole descent
-            // best-seen tracking then ignores, and even 1σ was measured
-            // to climb hundreds of cost units before cooling caught up.
             sd / 3.0
+        } else if schedule.t0_fallback_from_seed {
+            (seed_cost / nets.active.len().max(1) as f64).max(1.0) * 2.0
         } else {
-            // Degenerate spread (e.g. a single movable entity): fall
-            // back to the old average-net-cost heuristic.
-            (cost / active_nets.len().max(1) as f64).max(1.0) * 2.0
+            1.0
         }
     };
 
-    let mut cur_cost = base_cost;
-    let mut best_cost = base_cost;
-    let mut best = (base_clb, base_bram, base_iob);
+    // The walk returns the BEST configuration it visits, not the final
+    // one: at nonzero temperature the walk may drift uphill just before
+    // freezing, which made high-effort runs occasionally finish worse
+    // than low-effort ones (caught by `annealing_improves_over_initial`).
+    let mut cur_cost = nets.cost(&locs).0;
+    let mut best_cost = cur_cost;
+    let mut best = locs.clone();
     // Per-net bounding-box cache: the walk's layout-before cost is read
     // from here; accepted moves write the recomputed boxes of their
     // affected nets back, so the cache tracks the layout exactly.
-    let mut net_box = cache_of(&clb_loc, &bram_loc, &iob_loc);
+    let mut net_box = nets.boxes(&locs);
     let mut box_scratch: Vec<NetBox> = Vec::new();
     // Effective (timing-blended) costs the walk actually optimizes; at
     // `timing_weight = 0` they mirror the HPWL costs exactly.
     let mut cur_eff = cur_cost;
     let mut best_eff = best_cost;
     if let Some(t) = timing.as_mut() {
-        t.refresh(&active_nets, &net_box);
-        cur_eff = t.eff_from_boxes(&active_nets, &net_box);
+        t.refresh(&nets.active, &net_box);
+        cur_eff = t.eff_from_boxes(&nets.active, &net_box);
         best_eff = cur_eff;
     }
-    // Per-level move budget. Most bands get a third of the classic
-    // effort·N^{4/3} budget: the adaptive cooling visits ~3× more,
-    // finer-grained, levels over the same temperature span than the old
-    // fixed 0.85 rate did. The plateau-diffusion band (acceptance
-    // 5–15%) keeps the full budget: rlim has shrunk to 1 there,
-    // zero-cost sideways steps drift across equal-cost shelves into
-    // valleys the deterministic quench cannot see, and the trace shows
-    // that is where the final quality is actually won. Below 5% the
-    // walk is frozen and gets the small budget again.
-    //
-    // Effort beyond 2.0 is spent on additional reheat cycles, not on
-    // longer levels: per-level budgets past ~2·N^{4/3} adapt the
-    // temperature and window so slowly (both update once per level)
-    // that the walk drifts device-wide before it cools, while extra
-    // quench-polished restarts are independent draws from the basin-hop
-    // distribution — min over draws keeps improving where one long
-    // cooldown stalls.
-    let effort_per_cycle = opts.effort.min(2.0);
-    let full_moves =
-        (((num_entities as f64).powf(4.0 / 3.0) * effort_per_cycle).ceil() as usize).max(1);
-    let mid_moves = (full_moves / 3).max(1);
+    let (mid_moves, full_moves) = schedule.level_moves(movers.len());
     let mut moves_per_t = mid_moves;
     let mut temperature = t0;
     // VPR exit test: stop once T falls below a small fraction of the
-    // *current* average net cost — past that point even unit-sized
-    // uphill steps are essentially never accepted, so further levels are
-    // pure descent, which the closing quench performs exactly. The
-    // threshold tracks cur_cost as the layout improves, so a walk that
-    // finds a much better layout also earns an earlier exit.
-    let exit_t = |cur: f64| (0.005 * cur / active_nets.len() as f64).max(1e-6);
+    // average net cost — past that point even unit-sized uphill steps are
+    // essentially never accepted, so further levels are pure descent,
+    // which the closing quench performs exactly. The adaptive schedule
+    // tracks the *current* cost, so a walk that finds a much better
+    // layout also earns an earlier exit.
+    let exit_at = |cost: f64| (0.005 * cost / nets.active.len() as f64).max(1e-6);
+    let start_exit = exit_at(cur_cost);
     let mut rlim = w0;
     let mut moves_spent = 0u64;
     let mut budget = BudgetOutcome::Completed;
     // Iterated reheats (basin hopping): each cycle reheats the best-seen
-    // layout to t0 and cools back to the exit temperature. A single
-    // reheat is a coin flip — it either tunnels to a better basin or
-    // drifts somewhere unhelpful and gets discarded by best-seen
-    // tracking — so splitting the move budget across independent cycles
-    // from the incumbent buys a second (and third) draw at the cost of
-    // none.
-    let reheat_cycles: u32 = (opts.effort / effort_per_cycle.max(f64::MIN_POSITIVE)).round() as u32;
+    // layout and cools back to the exit temperature. A single reheat is a
+    // coin flip — it either tunnels to a better basin or drifts somewhere
+    // unhelpful and gets discarded by best-seen tracking — so splitting
+    // the move budget across independent cycles from the incumbent buys a
+    // second (and third) draw at the cost of none.
     let mut cycle = 0u32;
     'outer: loop {
-        while temperature > exit_t(cur_cost) {
+        while temperature
+            > if schedule.adaptive {
+                exit_at(cur_cost)
+            } else {
+                start_exit
+            }
+        {
             let mut accepted = 0usize;
             for _ in 0..moves_per_t {
                 if moves_spent >= opts.max_moves {
@@ -1004,181 +1094,66 @@ fn place_core(
                     break 'outer;
                 }
                 moves_spent += 1;
-                // Pick an entity class weighted by population.
-                let pick = rng.random_range(0..num_entities);
-                let (kind, idx) = if pick < packed.clbs.len() {
-                    (0, pick)
-                } else if pick < packed.clbs.len() + packed.brams.len() {
-                    (1, pick - packed.clbs.len())
-                } else {
-                    (2, pick - packed.clbs.len() - packed.brams.len())
-                };
-                let entity = match kind {
-                    0 => EntityId::Clb(idx),
-                    1 => EntityId::Bram(idx),
-                    _ => EntityId::Iob(idx),
-                };
-                type SitePools<'a> = (
-                    &'a mut Vec<(usize, usize)>,
-                    &'a mut Vec<(usize, usize)>,
-                    usize,
-                );
-                let (locs, free, count): SitePools<'_> = match kind {
-                    0 => (&mut clb_loc, &mut free_clb, packed.clbs.len()),
-                    1 => (&mut bram_loc, &mut free_bram, packed.brams.len()),
-                    _ => (&mut iob_loc, &mut free_iob, packed.iobs.len()),
-                };
-
-                // Candidate: swap with a sibling entity, or move to a free
-                // site — in either case within `rlim` of the current site.
-                let here = locs[idx];
-                let free_cands: Vec<usize> = free
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &s)| in_window(here, s, rlim))
-                    .map(|(f, _)| f)
-                    .collect();
-                let swap_cands: Vec<usize> = (0..count)
-                    .filter(|&o| o != idx && in_window(here, locs[o], rlim))
-                    .collect();
-                let use_free =
-                    !free_cands.is_empty() && (swap_cands.is_empty() || rng.random_bool(0.5));
-                let (other_idx, new_site) = if use_free {
-                    let f = free_cands[rng.random_range(0..free_cands.len())];
-                    (None, free[f])
-                } else if !swap_cands.is_empty() {
-                    let o = swap_cands[rng.random_range(0..swap_cands.len())];
-                    (Some(o), locs[o])
-                } else {
+                let Some(mv) = propose(&mut rng, &movers, &locs, &free, movable, rlim) else {
                     continue;
                 };
-
                 // Delta cost over affected nets only.
-                let affected: Vec<NetId> = {
-                    let mut v: Vec<NetId> =
-                        nets_of_entity.get(&entity).cloned().unwrap_or_default();
-                    if let Some(o) = other_idx {
-                        let other_entity = match kind {
-                            0 => EntityId::Clb(o),
-                            1 => EntityId::Bram(o),
-                            _ => EntityId::Iob(o),
-                        };
-                        v.extend(
-                            nets_of_entity
-                                .get(&other_entity)
-                                .cloned()
-                                .unwrap_or_default(),
-                        );
-                        v.sort_unstable_by_key(|n| n.0);
-                        v.dedup();
-                    }
-                    v
-                };
-                let old_site = locs[idx];
+                let affected = nets.affected(mv.kind, mv.idx, mv.other);
                 // Layout-before cost from the bounding-box cache: one
                 // lookup per affected net instead of a rescan of every
                 // pin. Every HPWL is an integer-valued f64 and the fold
-                // order matches the historical rescan, so the sums are
-                // bit-identical; debug builds recompute the boxes from
-                // coordinates and insist on exact equality.
+                // order matches a rescan, so the sums are bit-identical;
+                // debug builds recompute the boxes from coordinates and
+                // insist on exact equality.
                 let before: (f64, f64) = affected.iter().fold((0.0, 0.0), |(lin, sq), n| {
                     let h = net_box[n.index()].hpwl;
                     (lin + h, sq + h * h)
                 });
                 debug_assert!(
-                    {
-                        let loc = |e: EntityId| match e {
-                            EntityId::Clb(i) => clb_loc[i],
-                            EntityId::Bram(i) => bram_loc[i],
-                            EntityId::Iob(i) => iob_loc[i],
-                        };
-                        affected
-                            .iter()
-                            .all(|n| net_box[n.index()] == NetBox::compute(&pins[n.index()], &loc))
-                    },
+                    affected.iter().all(|n| net_box[n.index()]
+                        == NetBox::compute(&nets.pins[n.index()], &|e| at(&locs, e))),
                     "stale bounding-box cache on nets {affected:?}"
                 );
-                // Apply tentatively.
-                {
-                    let locs: &mut Vec<(usize, usize)> = match kind {
-                        0 => &mut clb_loc,
-                        1 => &mut bram_loc,
-                        _ => &mut iob_loc,
-                    };
-                    locs[idx] = new_site;
-                    if let Some(o) = other_idx {
-                        locs[o] = old_site;
-                    }
-                }
+                mv.apply(&mut locs);
                 // Layout-after cost must rescan the affected nets (a move
                 // can shrink a box, so the cache cannot answer it); the
                 // fresh boxes land in a scratch so an accepted move
                 // installs them without a second scan.
                 box_scratch.clear();
                 let mut early_reject = false;
-                let after: (f64, f64) = {
-                    let loc = |e: EntityId| match e {
-                        EntityId::Clb(i) => clb_loc[i],
-                        EntityId::Bram(i) => bram_loc[i],
-                        EntityId::Iob(i) => iob_loc[i],
-                    };
-                    if let Some(t) = timing.as_ref() {
-                        // Early-exit rejection: Σ coef·after_hpwl only grows
-                        // as nets are rescanned (coef ≥ 0, hpwl ≥ 0), so once
-                        // it clears Σ coef·before_hpwl + 20·T the effective
-                        // delta is ≥ 20·T and Metropolis acceptance is ~e⁻²⁰ —
-                        // abandon the rescan and the RNG draw. (Timing mode
-                        // only: skipping draws would shift the wirelength-only
-                        // RNG stream.)
-                        let before_eff: f64 = affected
-                            .iter()
-                            .map(|n| t.coef[n.index()] * net_box[n.index()].hpwl)
-                            .sum();
-                        let bar = before_eff + 20.0 * temperature;
-                        let mut lin = 0.0;
-                        let mut sq = 0.0;
-                        let mut eff = 0.0;
-                        for n in &affected {
-                            let b = NetBox::compute(&pins[n.index()], &loc);
-                            box_scratch.push(b);
-                            lin += b.hpwl;
-                            sq += b.hpwl * b.hpwl;
-                            eff += t.coef[n.index()] * b.hpwl;
-                            if eff > bar {
-                                early_reject = true;
-                                break;
-                            }
+                let mut after = (0.0, 0.0);
+                // Early-exit rejection (timing mode): Σ coef·after_hpwl
+                // only grows as nets are rescanned (coef ≥ 0, hpwl ≥ 0),
+                // so once it clears Σ coef·before_hpwl + 20·T the
+                // effective delta is ≥ 20·T and Metropolis acceptance is
+                // ~e⁻²⁰ — abandon the rescan and the RNG draw. (Timing
+                // mode only: skipping draws would shift the
+                // wirelength-only RNG stream.)
+                let early_exit = timing.as_ref().map(|t| {
+                    let before_eff: f64 = affected
+                        .iter()
+                        .map(|n| t.coef[n.index()] * net_box[n.index()].hpwl)
+                        .sum();
+                    (t, before_eff + 20.0 * temperature)
+                });
+                let mut eff = 0.0;
+                for n in &affected {
+                    let b = NetBox::compute(&nets.pins[n.index()], &|e| at(&locs, e));
+                    box_scratch.push(b);
+                    after = (after.0 + b.hpwl, after.1 + b.hpwl * b.hpwl);
+                    if let Some((t, bar)) = early_exit {
+                        eff += t.coef[n.index()] * b.hpwl;
+                        if eff > bar {
+                            early_reject = true;
+                            break;
                         }
-                        (lin, sq)
-                    } else {
-                        affected.iter().fold((0.0, 0.0), |(lin, sq), n| {
-                            let b = NetBox::compute(&pins[n.index()], &loc);
-                            box_scratch.push(b);
-                            (lin + b.hpwl, sq + b.hpwl * b.hpwl)
-                        })
                     }
-                };
+                }
                 if early_reject {
-                    let locs: &mut Vec<(usize, usize)> = match kind {
-                        0 => &mut clb_loc,
-                        1 => &mut bram_loc,
-                        _ => &mut iob_loc,
-                    };
-                    locs[idx] = old_site;
-                    if let Some(o) = other_idx {
-                        locs[o] = new_site;
-                    }
+                    mv.revert(&mut locs);
                     continue;
                 }
                 let delta = after.0 - before.0;
-                // Zero-linear-cost moves are plateau diffusion; bias them by
-                // the quadratic tie-breaker the quench optimizes, so shelf
-                // drift trades equal-HPWL configurations toward ones without
-                // individually long nets (better Σhpwl² for free, and more
-                // descent openings for the closing quench). Strictly
-                // sq-worsening sideways steps face the same Metropolis test
-                // the linear cost uses, scaled down so the quadratic term
-                // stays a tie-breaker rather than a second objective.
                 let delta_sq = after.1 - before.1;
                 // The Metropolis test runs on the effective (timing-blended)
                 // delta; without a timing context it IS the wirelength delta,
@@ -1191,77 +1166,55 @@ fn place_core(
                         .sum(),
                     None => delta,
                 };
+                // Zero-cost moves are plateau diffusion. With the sideways
+                // bias they are judged by the quadratic tie-breaker the
+                // quench optimizes, so shelf drift trades equal-HPWL
+                // configurations toward ones without individually long
+                // nets (better Σhpwl² for free, and more descent openings
+                // for the closing quench); strictly sq-worsening steps face
+                // the same Metropolis test, scaled down so the quadratic
+                // term stays a tie-breaker rather than a second objective.
                 let accept = if delta_eff < -1e-9 {
                     true
                 } else if delta_eff < 1e-9 {
-                    delta_sq < 1e-9
+                    !schedule.sideways_bias
+                        || delta_sq < 1e-9
                         || rng.random_bool((-delta_sq / (8.0 * temperature)).exp().min(1.0))
                 } else {
                     rng.random_bool((-delta_eff / temperature).exp().min(1.0))
                 };
-                if accept {
-                    accepted += 1;
-                    cur_cost += delta;
-                    for (&n, &b) in affected.iter().zip(&box_scratch) {
-                        net_box[n.index()] = b;
-                    }
-                    if let Some(t) = timing.as_mut() {
-                        cur_eff += delta_eff;
-                        t.note_moved(&affected, &net_box);
-                        if cur_eff < best_eff {
-                            best_eff = cur_eff;
-                            best_cost = cur_cost;
-                            best = (clb_loc.clone(), bram_loc.clone(), iob_loc.clone());
-                        }
-                    } else if cur_cost < best_cost {
+                if !accept {
+                    mv.revert(&mut locs);
+                    continue;
+                }
+                accepted += 1;
+                cur_cost += delta;
+                for (&n, &b) in affected.iter().zip(&box_scratch) {
+                    net_box[n.index()] = b;
+                }
+                if let Some(t) = timing.as_mut() {
+                    cur_eff += delta_eff;
+                    t.note_moved(&affected, &net_box);
+                    if cur_eff < best_eff {
+                        best_eff = cur_eff;
                         best_cost = cur_cost;
-                        best = (clb_loc.clone(), bram_loc.clone(), iob_loc.clone());
+                        best = locs.clone();
                     }
-                    if use_free {
-                        // The vacated site becomes free.
-                        let free: &mut Vec<(usize, usize)> = match kind {
-                            0 => &mut free_clb,
-                            1 => &mut free_bram,
-                            _ => &mut free_iob,
-                        };
-                        let pos = free
-                            .iter()
-                            .position(|s| *s == new_site)
-                            .expect("site came from the free pool");
-                        free.swap_remove(pos);
-                        free.push(old_site);
-                    }
-                } else {
-                    // Revert.
-                    let locs: &mut Vec<(usize, usize)> = match kind {
-                        0 => &mut clb_loc,
-                        1 => &mut bram_loc,
-                        _ => &mut iob_loc,
-                    };
-                    locs[idx] = old_site;
-                    if let Some(o) = other_idx {
-                        locs[o] = new_site;
+                } else if cur_cost < best_cost {
+                    best_cost = cur_cost;
+                    best = locs.clone();
+                }
+                if mv.other.is_none() {
+                    // The vacated site becomes free.
+                    let pool = &mut free[mv.kind];
+                    if let Some(pos) = pool.iter().position(|s| *s == mv.to) {
+                        pool.swap_remove(pos);
+                        pool.push(mv.from);
                     }
                 }
             }
-            // Acceptance-keyed cooling (VPR): linger where moves are being
-            // usefully sorted (mid-range acceptance), sprint through the
-            // too-hot (α ≈ 1: a random walk) and too-cold (α ≈ 0: frozen)
-            // ends that the fixed 0.85 rate used to spend moves on.
             let success = accepted as f64 / moves_per_t.max(1) as f64;
-            temperature *= if success > 0.96 {
-                0.5
-            } else if success > 0.8 {
-                0.9
-            } else if success > 0.15 {
-                0.95
-            } else if success > 0.05 {
-                0.8
-            } else {
-                // Frozen (α ≤ 5%): the walk is down to rare unit
-                // perturbations; sprint to the exit temperature.
-                0.5
-            };
+            temperature *= schedule.cooling(success);
             // Shrink (or re-grow) the window toward the 44% acceptance sweet
             // spot: rlim_new = rlim · (0.56 + success_rate), clamped.
             rlim = (rlim * (0.56 + success)).clamp(1.0, span);
@@ -1270,74 +1223,48 @@ fn place_core(
             } else {
                 mid_moves
             };
-            if std::env::var("PLACE_DEBUG").is_ok() {
-                eprintln!(
-                "level T={temperature:.4} alpha={success:.3} rlim={rlim:.2} cur={cur_cost:.0} best={best_cost:.0} spent={moves_spent}"
-            );
-            }
             // Re-anchor the incremental cost per level so f64 drift cannot
             // accumulate across tens of thousands of accepted deltas. The
             // cached boxes carry exact integer-valued HPWLs summed in the
             // same net order as a full recompute, so the anchor is
-            // bit-identical to `cost_all` — debug builds check exactly
-            // that, equal-cost to the last bit.
-            cur_cost = active_nets.iter().map(|n| net_box[n.index()].hpwl).sum();
+            // bit-identical to it — debug builds check exactly that.
+            cur_cost = nets.active.iter().map(|n| net_box[n.index()].hpwl).sum();
             debug_assert!(
-                cur_cost == cost_all(&clb_loc, &bram_loc, &iob_loc),
+                cur_cost == nets.cost(&locs).0,
                 "bounding-box cache re-anchor diverged from recomputed HPWL"
             );
             // Re-freeze the criticality coefficients once per level and
             // re-anchor both effective costs under them (the best-seen
             // snapshot is re-scored so the comparison stays like-for-like).
             if let Some(t) = timing.as_mut() {
-                t.refresh(&active_nets, &net_box);
-                cur_eff = t.eff_from_boxes(&active_nets, &net_box);
-                let loc = |e: EntityId| match e {
-                    EntityId::Clb(i) => best.0[i],
-                    EntityId::Bram(i) => best.1[i],
-                    EntityId::Iob(i) => best.2[i],
-                };
-                best_eff = t.eff_from_locs(&active_nets, &pins, &loc);
+                t.refresh(&nets.active, &net_box);
+                cur_eff = t.eff_from_boxes(&nets.active, &net_box);
+                best_eff = t.eff_from_locs(nets, &best);
             }
         }
 
         cycle += 1;
-        if cycle > reheat_cycles {
+        if cycle > schedule.reheat_cycles {
             break;
         }
         // Reheat (basin hopping with local search): quench the best-seen
         // layout into its local optimum — the walk's winner is usually
         // still a few greedy steps above its basin floor — then restart
-        // the walk from that polished incumbent at the measured t0 with
-        // the opening window. Each cycle therefore launches from a layout
-        // at least as good as the previous cycle's polished result, and
-        // best-seen tracking keeps whichever basin floor was deepest.
-        clb_loc = best.0.clone();
-        bram_loc = best.1.clone();
-        iob_loc = best.2.clone();
-        quench(
-            &pins,
-            &nets_of_entity,
-            &clb_sites,
-            &bram_sites,
-            &iob_sites,
-            &mut clb_loc,
-            &mut bram_loc,
-            &mut iob_loc,
-            None,
-            timing.as_ref(),
-        );
-        free_clb = free_of(&clb_loc, &clb_sites);
-        free_bram = free_of(&bram_loc, &bram_sites);
-        free_iob = free_of(&iob_loc, &iob_sites);
+        // the walk from that polished incumbent with the opening window.
+        // Each cycle therefore launches from a layout at least as good as
+        // the previous cycle's polished result, and best-seen tracking
+        // keeps whichever basin floor was deepest.
+        locs = best.clone();
+        quench(nets, sites, &mut locs, movable, timing.as_ref());
+        free = free_sites(&locs, sites);
         // The quench moved entities without maintaining the cache.
-        net_box = cache_of(&clb_loc, &bram_loc, &iob_loc);
-        cur_cost = cost_all(&clb_loc, &bram_loc, &iob_loc);
+        net_box = nets.boxes(&locs);
+        cur_cost = nets.cost(&locs).0;
         best_cost = cur_cost;
-        best = (clb_loc.clone(), bram_loc.clone(), iob_loc.clone());
+        best = locs.clone();
         if let Some(t) = timing.as_mut() {
-            t.refresh(&active_nets, &net_box);
-            cur_eff = t.eff_from_boxes(&active_nets, &net_box);
+            t.refresh(&nets.active, &net_box);
+            cur_eff = t.eff_from_boxes(&nets.active, &net_box);
             best_eff = cur_eff;
         }
         // The reheat is gentle — a fraction of the first cycle's t0.
@@ -1355,68 +1282,17 @@ fn place_core(
     // snapshot (the incremental tracker is only a heuristic trigger). In
     // timing mode the comparison runs on the effective cost under the
     // final frozen coefficients — the objective the walk was pursuing.
-    let (b_clb, b_bram, b_iob) = best;
-    let restore_best = if let Some(t) = timing.as_ref() {
-        let cur_loc = |e: EntityId| match e {
-            EntityId::Clb(i) => clb_loc[i],
-            EntityId::Bram(i) => bram_loc[i],
-            EntityId::Iob(i) => iob_loc[i],
-        };
-        let best_loc = |e: EntityId| match e {
-            EntityId::Clb(i) => b_clb[i],
-            EntityId::Bram(i) => b_bram[i],
-            EntityId::Iob(i) => b_iob[i],
-        };
-        t.eff_from_locs(&active_nets, &pins, &best_loc)
-            < t.eff_from_locs(&active_nets, &pins, &cur_loc)
-    } else {
-        cost_all(&b_clb, &b_bram, &b_iob) < cost_all(&clb_loc, &bram_loc, &iob_loc)
+    let restore_best = match timing.as_ref() {
+        Some(t) => t.eff_from_locs(nets, &best) < t.eff_from_locs(nets, &locs),
+        None => nets.cost(&best).0 < nets.cost(&locs).0,
     };
     if restore_best {
-        clb_loc = b_clb;
-        bram_loc = b_bram;
-        iob_loc = b_iob;
+        locs = best;
     }
-
     // Polish the winner with the same deterministic descent (criticality-
     // weighted in timing mode, under the final frozen coefficients).
-    quench(
-        &pins,
-        &nets_of_entity,
-        &clb_sites,
-        &bram_sites,
-        &iob_sites,
-        &mut clb_loc,
-        &mut bram_loc,
-        &mut iob_loc,
-        None,
-        timing.as_ref(),
-    );
-    let polished = cost_all(&clb_loc, &bram_loc, &iob_loc);
-    let polished_sq: f64 = {
-        let loc = |e: EntityId| match e {
-            EntityId::Clb(i) => clb_loc[i],
-            EntityId::Bram(i) => bram_loc[i],
-            EntityId::Iob(i) => iob_loc[i],
-        };
-        active_nets
-            .iter()
-            .map(|n| {
-                let h = hpwl_of_net(&pins[n.index()], &loc);
-                h * h
-            })
-            .sum()
-    };
-    Ok(Placement {
-        device,
-        clb_loc,
-        bram_loc,
-        iob_loc,
-        hpwl: polished,
-        hpwl_sq: polished_sq,
-        moves: moves_spent,
-        budget,
-    })
+    quench(nets, sites, &mut locs, movable, timing.as_ref());
+    finish(device, locs, nets, moves_spent, budget)
 }
 
 /// Per-entity pin map for ECO placement: `Some(site)` pins the entity at
@@ -1583,18 +1459,13 @@ pub fn verify_eco_placement(
     placement: &Placement,
     pins: &PinnedEntities,
 ) -> Result<(), EcoPlaceError> {
-    let kinds: [(&'static str, &[Option<(usize, usize)>], &[(usize, usize)], Vec<(usize, usize)>);
-        3] = [
-        ("CLBs", &pins.clb, &placement.clb_loc, placement.device.clb_sites()),
-        (
-            "BRAMs",
-            &pins.bram,
-            &placement.bram_loc,
-            placement.device.bram_sites(),
-        ),
-        ("IOBs", &pins.iob, &placement.iob_loc, placement.device.iob_sites()),
+    let d = &placement.device;
+    let kinds = [
+        (&pins.clb, &placement.clb_loc, d.clb_sites()),
+        (&pins.bram, &placement.bram_loc, d.bram_sites()),
+        (&pins.iob, &placement.iob_loc, d.iob_sites()),
     ];
-    for (what, pin, loc, sites) in kinds {
+    for (what, (pin, loc, sites)) in KINDS.into_iter().zip(kinds) {
         if pin.len() != loc.len() {
             return Err(EcoPlaceError::PinCount {
                 what,
@@ -1626,11 +1497,46 @@ pub fn verify_eco_placement(
     Ok(())
 }
 
+/// Validates one kind's pins and seeds its layout: pinned entities at
+/// their pins, movable entities on the first free sites (the annealer's
+/// opening quench turns the seed into a baseline local optimum).
+fn seed_pinned(
+    pin: &[Option<(usize, usize)>],
+    sites: &[(usize, usize)],
+    what: &'static str,
+) -> Result<Vec<(usize, usize)>, EcoPlaceError> {
+    let legal: std::collections::HashSet<(usize, usize)> = sites.iter().copied().collect();
+    let mut used: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
+    for (index, p) in pin.iter().enumerate() {
+        if let Some(site) = *p {
+            if !legal.contains(&site) {
+                return Err(EcoPlaceError::IllegalPin { what, index, site });
+            }
+            if !used.insert(site) {
+                return Err(EcoPlaceError::DuplicatePin { what, index, site });
+            }
+        }
+    }
+    let mut free = sites.iter().copied().filter(|s| !used.contains(s));
+    pin.iter()
+        .map(|p| match *p {
+            Some(site) => Ok(site),
+            // Capacity was checked by the caller, so a free site exists.
+            None => free.next().ok_or(EcoPlaceError::DoesNotFit {
+                what,
+                need: pin.len(),
+                have: sites.len(),
+            }),
+        })
+        .collect()
+}
+
 /// Incremental (ECO) placement: pinned entities keep their exact
-/// coordinates; only the movable delta is placed, by a short range-limited
-/// local anneal bracketed by the same deterministic quench [`place`] uses
-/// (restricted to movable entities). The returned placement is self-checked
-/// with [`verify_eco_placement`] before it leaves this function.
+/// coordinates; only the movable delta is placed, by the same annealer as
+/// [`place`] restricted to the movable entities and run on the ECO
+/// schedule (a short fixed-rate cooldown, no reheats). The returned
+/// placement is self-checked with [`verify_eco_placement`] before it
+/// leaves this function.
 ///
 /// With the timing term enabled (`timing_weight > 0`) the delta anneal is
 /// a *guarded pair*, exactly like [`place`]: the blind arm (bit-identical
@@ -1652,601 +1558,52 @@ pub fn place_incremental(
     opts: PlaceOptions,
     pins_map: &PinnedEntities,
 ) -> Result<EcoPlacement, EcoPlaceError> {
-    if opts.timing_weight > 0.0 {
-        let blind = place_incremental_core(
-            netlist,
-            packed,
-            device,
-            PlaceOptions {
-                timing_weight: 0.0,
-                ..opts
-            },
-            pins_map,
-        )?;
-        let timed = place_incremental_core(netlist, packed, device, opts, pins_map)?;
-        let estimate = |e: &EcoPlacement| {
-            crate::sta::estimate_critical_ns(netlist, packed, &e.placement, &opts.delay)
-                .unwrap_or(f64::INFINITY)
-        };
-        let (blind_ns, timed_ns) = (estimate(&blind), estimate(&timed));
-        let moves = blind.placement.moves + timed.placement.moves;
-        let exhausted =
-            blind.placement.budget.is_exhausted() || timed.placement.budget.is_exhausted();
-        let timed_wins = timed_ns < blind_ns
-            || (timed_ns == blind_ns
-                && (timed.placement.hpwl, timed.placement.hpwl_sq)
-                    < (blind.placement.hpwl, blind.placement.hpwl_sq));
-        let mut chosen = if timed_wins { timed } else { blind };
-        chosen.placement.moves = moves;
-        chosen.placement.budget = if exhausted {
-            BudgetOutcome::Exhausted { spent: moves }
-        } else {
-            BudgetOutcome::Completed
-        };
-        return Ok(chosen);
+    let (sites, overflow) = sites_for(packed, &device);
+    if let Some((what, need, have)) = overflow {
+        return Err(EcoPlaceError::DoesNotFit { what, need, have });
     }
-    place_incremental_core(netlist, packed, device, opts, pins_map)
-}
-
-/// One arm of [`place_incremental`]: the masked delta anneal, blind at
-/// `timing_weight = 0`, criticality-weighted otherwise.
-fn place_incremental_core(
-    netlist: &Netlist,
-    packed: &PackedDesign,
-    device: Device,
-    opts: PlaceOptions,
-    pins_map: &PinnedEntities,
-) -> Result<EcoPlacement, EcoPlaceError> {
-    let clb_sites = device.clb_sites();
-    let bram_sites = device.bram_sites();
-    let iob_sites = device.iob_sites();
-    let caps = [
-        ("CLBs", packed.clbs.len(), clb_sites.len()),
-        ("BRAMs", packed.brams.len(), bram_sites.len()),
-        ("IOBs", packed.iobs.len(), iob_sites.len()),
-    ];
-    for (what, need, have) in caps {
-        if need > have {
-            return Err(EcoPlaceError::DoesNotFit { what, need, have });
-        }
-    }
-    let counts = [
-        ("CLBs", pins_map.clb.len(), packed.clbs.len()),
-        ("BRAMs", pins_map.bram.len(), packed.brams.len()),
-        ("IOBs", pins_map.iob.len(), packed.iobs.len()),
-    ];
-    for (what, pins, entities) in counts {
-        if pins != entities {
+    let pin_kinds = [&pins_map.clb, &pins_map.bram, &pins_map.iob];
+    let counts = [packed.clbs.len(), packed.brams.len(), packed.iobs.len()];
+    for k in 0..3 {
+        if pin_kinds[k].len() != counts[k] {
             return Err(EcoPlaceError::PinCount {
-                what,
-                pins,
-                entities,
+                what: KINDS[k],
+                pins: pin_kinds[k].len(),
+                entities: counts[k],
             });
         }
     }
-
-    // Validate the pins and seed locations: pinned entities at their pins,
-    // movable entities on the first free sites (the quench below turns the
-    // seed into a baseline local optimum).
-    let seed_kind = |pin: &[Option<(usize, usize)>],
-                     sites: &[(usize, usize)],
-                     what: &'static str|
-     -> Result<(Vec<(usize, usize)>, Vec<bool>), EcoPlaceError> {
-        let legal: std::collections::HashSet<(usize, usize)> = sites.iter().copied().collect();
-        let mut used: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
-        for (index, p) in pin.iter().enumerate() {
-            if let Some(site) = *p {
-                if !legal.contains(&site) {
-                    return Err(EcoPlaceError::IllegalPin { what, index, site });
-                }
-                if !used.insert(site) {
-                    return Err(EcoPlaceError::DuplicatePin { what, index, site });
-                }
-            }
-        }
-        let mut free = sites.iter().copied().filter(|s| !used.contains(s));
-        let mut loc = Vec::with_capacity(pin.len());
-        let mut movable = Vec::with_capacity(pin.len());
-        for p in pin {
-            match *p {
-                Some(site) => {
-                    loc.push(site);
-                    movable.push(false);
-                }
-                None => {
-                    // Capacity was checked above, so a free site exists.
-                    let site = free.next().ok_or(EcoPlaceError::DoesNotFit {
-                        what,
-                        need: pin.len(),
-                        have: sites.len(),
-                    })?;
-                    loc.push(site);
-                    movable.push(true);
-                }
-            }
-        }
-        Ok((loc, movable))
-    };
-    let (mut clb_loc, clb_mov) = seed_kind(&pins_map.clb, &clb_sites, "CLBs")?;
-    let (mut bram_loc, bram_mov) = seed_kind(&pins_map.bram, &bram_sites, "BRAMs")?;
-    let (mut iob_loc, iob_mov) = seed_kind(&pins_map.iob, &iob_sites, "IOBs")?;
-    let movable_mask: [&[bool]; 3] = [&clb_mov, &bram_mov, &iob_mov];
-
-    let pins = build_net_pins(netlist, packed);
-    let active_nets: Vec<NetId> = (0..netlist.num_nets())
-        .map(|i| NetId(i as u32))
-        .filter(|n| pins[n.index()].len() >= 2)
-        .collect();
-    let mut nets_of_entity: HashMap<EntityId, Vec<NetId>> = HashMap::new();
-    for &net in &active_nets {
-        for &e in &pins[net.index()] {
-            nets_of_entity.entry(e).or_default().push(net);
-        }
+    let mut seed = Locs::default();
+    for k in 0..3 {
+        seed[k] = seed_pinned(pin_kinds[k], &sites[k], KINDS[k])?;
     }
-    let is_movable = |e: EntityId| match e {
-        EntityId::Clb(i) => clb_mov[i],
-        EntityId::Bram(i) => bram_mov[i],
-        EntityId::Iob(i) => iob_mov[i],
-    };
-    // Indices of movable entities, flattened for uniform random picks.
-    let movable_entities: Vec<(usize, usize)> = (0..clb_mov.len())
-        .filter(|&i| clb_mov[i])
-        .map(|i| (0usize, i))
-        .chain((0..bram_mov.len()).filter(|&i| bram_mov[i]).map(|i| (1, i)))
-        .chain((0..iob_mov.len()).filter(|&i| iob_mov[i]).map(|i| (2, i)))
-        .collect();
-
-    let cost_all = |clb_loc: &Vec<(usize, usize)>,
-                    bram_loc: &Vec<(usize, usize)>,
-                    iob_loc: &Vec<(usize, usize)>|
-     -> (f64, f64) {
-        let loc = |e: EntityId| match e {
-            EntityId::Clb(i) => clb_loc[i],
-            EntityId::Bram(i) => bram_loc[i],
-            EntityId::Iob(i) => iob_loc[i],
-        };
-        active_nets.iter().fold((0.0, 0.0), |(lin, sq), n| {
-            let h = hpwl_of_net(&pins[n.index()], &loc);
-            (lin + h, sq + h * h)
-        })
-    };
-
-    let mut moves_spent = 0u64;
-    let mut budget = BudgetOutcome::Completed;
-    if !movable_entities.is_empty() && !active_nets.is_empty() {
-        // Baseline: deterministic descent over the movable delta only.
-        quench(
-            &pins,
-            &nets_of_entity,
-            &clb_sites,
-            &bram_sites,
-            &iob_sites,
-            &mut clb_loc,
-            &mut bram_loc,
-            &mut iob_loc,
-            Some(movable_mask),
-            None,
-        );
-
-        // Criticality-aware ECO: the delta anneal prices the enable cone's
-        // nets by the same frozen criticalities as the full anneal, so the
-        // cone is placed aware of the BRAM setup path it feeds instead of
-        // blind on wirelength. `timing_weight = 0` reproduces the blind
-        // ECO byte-for-byte.
-        let mut timing = if opts.timing_weight > 0.0 {
-            TimingCtx::build(netlist, &opts)
-        } else {
-            None
-        };
-
-        let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x0ec0_5eed_ba5e_11f7);
-        let span = clb_sites
-            .iter()
-            .chain(bram_sites.iter())
-            .chain(iob_sites.iter())
-            .map(|&(x, y)| x.max(y))
-            .max()
-            .unwrap_or(1) as f64;
-        let in_window = |a: (usize, usize), b: (usize, usize), r: f64| -> bool {
-            (a.0.abs_diff(b.0).max(a.1.abs_diff(b.1)) as f64) <= r
-        };
-        let w0 = (span / 4.0).clamp(2.0, span);
-        let free_of =
-            |locs: &[(usize, usize)], sites: &[(usize, usize)]| -> Vec<(usize, usize)> {
-                let used: std::collections::HashSet<(usize, usize)> =
-                    locs.iter().copied().collect();
-                sites.iter().copied().filter(|s| !used.contains(s)).collect()
-            };
-        let mut free_clb = free_of(&clb_loc, &clb_sites);
-        let mut free_bram = free_of(&bram_loc, &bram_sites);
-        let mut free_iob = free_of(&iob_loc, &iob_sites);
-
-        // Proposal generator shared by the T0 probe and the walk: a random
-        // movable entity, moved to a free site or swapped with a movable
-        // sibling, within the window. Returns (kind, idx, other, new_site).
-        #[allow(clippy::type_complexity)]
-        let propose = |rng: &mut SmallRng,
-                           clb_loc: &[(usize, usize)],
-                           bram_loc: &[(usize, usize)],
-                           iob_loc: &[(usize, usize)],
-                           free: [&Vec<(usize, usize)>; 3],
-                           r: f64|
-         -> Option<(usize, usize, Option<usize>, (usize, usize))> {
-            let (kind, idx) = movable_entities[rng.random_range(0..movable_entities.len())];
-            let locs: &[(usize, usize)] = match kind {
-                0 => clb_loc,
-                1 => bram_loc,
-                _ => iob_loc,
-            };
-            let mov: &[bool] = movable_mask[kind];
-            let here = locs[idx];
-            let free_cands: Vec<usize> = free[kind]
-                .iter()
-                .enumerate()
-                .filter(|&(_, &s)| in_window(here, s, r))
-                .map(|(f, _)| f)
-                .collect();
-            let swap_cands: Vec<usize> = (0..locs.len())
-                .filter(|&o| o != idx && mov[o] && in_window(here, locs[o], r))
-                .collect();
-            let use_free = !free_cands.is_empty() && (swap_cands.is_empty() || rng.random_bool(0.5));
-            if use_free {
-                let f = free_cands[rng.random_range(0..free_cands.len())];
-                Some((kind, idx, None, free[kind][f]))
-            } else if !swap_cands.is_empty() {
-                let o = swap_cands[rng.random_range(0..swap_cands.len())];
-                Some((kind, idx, Some(o), locs[o]))
-            } else {
-                None
-            }
-        };
-        let entity_of = |kind: usize, idx: usize| match kind {
-            0 => EntityId::Clb(idx),
-            1 => EntityId::Bram(idx),
-            _ => EntityId::Iob(idx),
-        };
-        let affected_nets = |kind: usize, idx: usize, other: Option<usize>| -> Vec<NetId> {
-            let mut v: Vec<NetId> = nets_of_entity
-                .get(&entity_of(kind, idx))
-                .cloned()
-                .unwrap_or_default();
-            if let Some(o) = other {
-                v.extend(
-                    nets_of_entity
-                        .get(&entity_of(kind, o))
-                        .cloned()
-                        .unwrap_or_default(),
-                );
-                v.sort_unstable_by_key(|n| n.0);
-                v.dedup();
-            }
-            v
-        };
-
-        // T0 probe: stddev/3 of sampled in-window move deltas (see `place`).
-        let t0 = {
-            let mut deltas = Vec::new();
-            let samples = (movable_entities.len() * 4).clamp(32, 256);
-            for _ in 0..samples {
-                let Some((kind, idx, other, new_site)) = propose(
-                    &mut rng,
-                    &clb_loc,
-                    &bram_loc,
-                    &iob_loc,
-                    [&free_clb, &free_bram, &free_iob],
-                    w0,
-                ) else {
-                    continue;
-                };
-                let here = match kind {
-                    0 => clb_loc[idx],
-                    1 => bram_loc[idx],
-                    _ => iob_loc[idx],
-                };
-                let nets = affected_nets(kind, idx, other);
-                let entity = entity_of(kind, idx);
-                let other_entity = other.map(|o| entity_of(kind, o));
-                let eval = |moved: bool| -> f64 {
-                    let loc = |e: EntityId| {
-                        if moved {
-                            if e == entity {
-                                return new_site;
-                            }
-                            if other_entity == Some(e) {
-                                return here;
-                            }
-                        }
-                        match e {
-                            EntityId::Clb(i) => clb_loc[i],
-                            EntityId::Bram(i) => bram_loc[i],
-                            EntityId::Iob(i) => iob_loc[i],
-                        }
-                    };
-                    nets.iter().map(|n| hpwl_of_net(&pins[n.index()], &loc)).sum()
-                };
-                deltas.push(eval(true) - eval(false));
-            }
-            let n = deltas.len() as f64;
-            let sd = if deltas.is_empty() {
-                0.0
-            } else {
-                let mean = deltas.iter().sum::<f64>() / n;
-                (deltas.iter().map(|d| (d - mean) * (d - mean)).sum::<f64>() / n).sqrt()
-            };
-            if sd > 0.0 {
-                sd / 3.0
-            } else {
-                1.0
-            }
-        };
-
-        let (mut cur_cost, _) = cost_all(&clb_loc, &bram_loc, &iob_loc);
-        let mut best_cost = cur_cost;
-        let mut best = (clb_loc.clone(), bram_loc.clone(), iob_loc.clone());
-        // Per-net bounding-box cache (see `place`): layout-before costs
-        // are lookups, accepted moves write their rescanned boxes back.
-        let mut net_box: Vec<NetBox> = {
-            let loc = |e: EntityId| match e {
-                EntityId::Clb(i) => clb_loc[i],
-                EntityId::Bram(i) => bram_loc[i],
-                EntityId::Iob(i) => iob_loc[i],
-            };
-            let mut boxes = vec![NetBox::EMPTY; pins.len()];
-            for &n in &active_nets {
-                boxes[n.index()] = NetBox::compute(&pins[n.index()], &loc);
-            }
-            boxes
-        };
-        let mut box_scratch: Vec<NetBox> = Vec::new();
-        let mut cur_eff = cur_cost;
-        let mut best_eff = best_cost;
-        if let Some(t) = timing.as_mut() {
-            t.refresh(&active_nets, &net_box);
-            cur_eff = t.eff_from_boxes(&active_nets, &net_box);
-            best_eff = cur_eff;
-        }
-        let m = movable_entities.len() as f64;
-        let moves_per_t = ((m.powf(4.0 / 3.0) * opts.effort.max(0.1)).ceil() as usize).max(16);
-        let mut temperature = t0;
-        let mut rlim = w0;
-        let exit_t = (0.005 * cur_cost / active_nets.len() as f64).max(1e-6);
-        'anneal: while temperature > exit_t {
-            let mut accepted = 0usize;
-            for _ in 0..moves_per_t {
-                if moves_spent >= opts.max_moves {
-                    budget = BudgetOutcome::Exhausted { spent: moves_spent };
-                    break 'anneal;
-                }
-                moves_spent += 1;
-                let Some((kind, idx, other, new_site)) = propose(
-                    &mut rng,
-                    &clb_loc,
-                    &bram_loc,
-                    &iob_loc,
-                    [&free_clb, &free_bram, &free_iob],
-                    rlim,
-                ) else {
-                    continue;
-                };
-                let nets = affected_nets(kind, idx, other);
-                let old_site = match kind {
-                    0 => clb_loc[idx],
-                    1 => bram_loc[idx],
-                    _ => iob_loc[idx],
-                };
-                // Layout-before from the cache, layout-after by rescan —
-                // same scheme and same bit-identity argument as `place`.
-                let before: f64 = nets.iter().map(|n| net_box[n.index()].hpwl).sum();
-                debug_assert!(
-                    {
-                        let loc = |e: EntityId| match e {
-                            EntityId::Clb(i) => clb_loc[i],
-                            EntityId::Bram(i) => bram_loc[i],
-                            EntityId::Iob(i) => iob_loc[i],
-                        };
-                        nets.iter()
-                            .all(|n| net_box[n.index()] == NetBox::compute(&pins[n.index()], &loc))
-                    },
-                    "stale bounding-box cache on nets {nets:?}"
-                );
-                {
-                    let locs: &mut Vec<(usize, usize)> = match kind {
-                        0 => &mut clb_loc,
-                        1 => &mut bram_loc,
-                        _ => &mut iob_loc,
-                    };
-                    locs[idx] = new_site;
-                    if let Some(o) = other {
-                        locs[o] = old_site;
-                    }
-                }
-                box_scratch.clear();
-                let mut early_reject = false;
-                let after: f64 = {
-                    let loc = |e: EntityId| match e {
-                        EntityId::Clb(i) => clb_loc[i],
-                        EntityId::Bram(i) => bram_loc[i],
-                        EntityId::Iob(i) => iob_loc[i],
-                    };
-                    if let Some(t) = timing.as_ref() {
-                        // Same early-exit bound as `place`: abandon the
-                        // rescan once the move is hopeless (timing mode
-                        // only, so the blind-ECO RNG stream is untouched).
-                        let before_eff: f64 = nets
-                            .iter()
-                            .map(|n| t.coef[n.index()] * net_box[n.index()].hpwl)
-                            .sum();
-                        let bar = before_eff + 20.0 * temperature;
-                        let mut lin = 0.0;
-                        let mut eff = 0.0;
-                        for n in &nets {
-                            let b = NetBox::compute(&pins[n.index()], &loc);
-                            box_scratch.push(b);
-                            lin += b.hpwl;
-                            eff += t.coef[n.index()] * b.hpwl;
-                            if eff > bar {
-                                early_reject = true;
-                                break;
-                            }
-                        }
-                        lin
-                    } else {
-                        nets.iter()
-                            .map(|n| {
-                                let b = NetBox::compute(&pins[n.index()], &loc);
-                                box_scratch.push(b);
-                                b.hpwl
-                            })
-                            .sum()
-                    }
-                };
-                if early_reject {
-                    let locs: &mut Vec<(usize, usize)> = match kind {
-                        0 => &mut clb_loc,
-                        1 => &mut bram_loc,
-                        _ => &mut iob_loc,
-                    };
-                    locs[idx] = old_site;
-                    if let Some(o) = other {
-                        locs[o] = new_site;
-                    }
-                    continue;
-                }
-                let delta = after - before;
-                let delta_eff = match timing.as_ref() {
-                    Some(t) => nets
-                        .iter()
-                        .zip(&box_scratch)
-                        .map(|(n, b)| t.coef[n.index()] * (b.hpwl - net_box[n.index()].hpwl))
-                        .sum(),
-                    None => delta,
-                };
-                let accept = delta_eff < 1e-9
-                    || rng.random_bool((-delta_eff / temperature).exp().min(1.0));
-                if accept {
-                    accepted += 1;
-                    cur_cost += delta;
-                    for (&n, &b) in nets.iter().zip(&box_scratch) {
-                        net_box[n.index()] = b;
-                    }
-                    if let Some(t) = timing.as_mut() {
-                        cur_eff += delta_eff;
-                        t.note_moved(&nets, &net_box);
-                        if cur_eff < best_eff {
-                            best_eff = cur_eff;
-                            best_cost = cur_cost;
-                            best = (clb_loc.clone(), bram_loc.clone(), iob_loc.clone());
-                        }
-                    } else if cur_cost < best_cost {
-                        best_cost = cur_cost;
-                        best = (clb_loc.clone(), bram_loc.clone(), iob_loc.clone());
-                    }
-                    if other.is_none() {
-                        let free: &mut Vec<(usize, usize)> = match kind {
-                            0 => &mut free_clb,
-                            1 => &mut free_bram,
-                            _ => &mut free_iob,
-                        };
-                        if let Some(pos) = free.iter().position(|s| *s == new_site) {
-                            free.swap_remove(pos);
-                            free.push(old_site);
-                        }
-                    }
-                } else {
-                    let locs: &mut Vec<(usize, usize)> = match kind {
-                        0 => &mut clb_loc,
-                        1 => &mut bram_loc,
-                        _ => &mut iob_loc,
-                    };
-                    locs[idx] = old_site;
-                    if let Some(o) = other {
-                        locs[o] = new_site;
-                    }
-                }
-            }
-            let success = accepted as f64 / moves_per_t.max(1) as f64;
-            temperature *= if success > 0.8 { 0.7 } else { 0.85 };
-            rlim = (rlim * (0.56 + success)).clamp(1.0, span);
-            // Cache-summed re-anchor, bit-identical to a recompute (see
-            // the matching comment in `place`).
-            cur_cost = active_nets.iter().map(|n| net_box[n.index()].hpwl).sum();
-            debug_assert!(
-                cur_cost == cost_all(&clb_loc, &bram_loc, &iob_loc).0,
-                "bounding-box cache re-anchor diverged from recomputed HPWL"
-            );
-            if let Some(t) = timing.as_mut() {
-                t.refresh(&active_nets, &net_box);
-                cur_eff = t.eff_from_boxes(&active_nets, &net_box);
-                let loc = |e: EntityId| match e {
-                    EntityId::Clb(i) => best.0[i],
-                    EntityId::Bram(i) => best.1[i],
-                    EntityId::Iob(i) => best.2[i],
-                };
-                best_eff = t.eff_from_locs(&active_nets, &pins, &loc);
-            }
-        }
-        let restore_best = if let Some(t) = timing.as_ref() {
-            let cur_loc = |e: EntityId| match e {
-                EntityId::Clb(i) => clb_loc[i],
-                EntityId::Bram(i) => bram_loc[i],
-                EntityId::Iob(i) => iob_loc[i],
-            };
-            let best_loc = |e: EntityId| match e {
-                EntityId::Clb(i) => best.0[i],
-                EntityId::Bram(i) => best.1[i],
-                EntityId::Iob(i) => best.2[i],
-            };
-            t.eff_from_locs(&active_nets, &pins, &best_loc)
-                < t.eff_from_locs(&active_nets, &pins, &cur_loc)
-        } else {
-            best_cost < cost_all(&clb_loc, &bram_loc, &iob_loc).0
-        };
-        if restore_best {
-            clb_loc = best.0;
-            bram_loc = best.1;
-            iob_loc = best.2;
-        }
-        // Polish the delta with the masked deterministic descent
-        // (criticality-weighted in timing mode).
-        quench(
-            &pins,
-            &nets_of_entity,
-            &clb_sites,
-            &bram_sites,
-            &iob_sites,
-            &mut clb_loc,
-            &mut bram_loc,
-            &mut iob_loc,
-            Some(movable_mask),
-            timing.as_ref(),
-        );
-    }
-
-    let (hpwl, hpwl_sq) = cost_all(&clb_loc, &bram_loc, &iob_loc);
+    let movable: Mask = pin_kinds.map(|pins| pins.iter().map(Option::is_none).collect());
+    let nets = NetModel::new(netlist, packed);
+    let placement = pick_guarded(netlist, packed, &opts, |o| {
+        anneal(
+            netlist,
+            &nets,
+            device,
+            &sites,
+            seed.clone(),
+            &movable,
+            o,
+            Schedule::eco(o),
+        )
+    });
     // The wirelength actually decided by this pass: nets touching at
     // least one movable entity.
-    let delta_hpwl: f64 = {
-        let loc = |e: EntityId| match e {
-            EntityId::Clb(i) => clb_loc[i],
-            EntityId::Bram(i) => bram_loc[i],
-            EntityId::Iob(i) => iob_loc[i],
-        };
-        active_nets
-            .iter()
-            .filter(|n| pins[n.index()].iter().any(|&e| is_movable(e)))
-            .map(|n| hpwl_of_net(&pins[n.index()], &loc))
-            .sum()
-    };
-    let placement = Placement {
-        device,
-        clb_loc,
-        bram_loc,
-        iob_loc,
-        hpwl,
-        hpwl_sq,
-        moves: moves_spent,
-        budget,
-    };
+    let delta_hpwl: f64 = nets
+        .active
+        .iter()
+        .filter(|n| {
+            nets.pins[n.index()].iter().any(|&e| {
+                let (kind, idx) = kind_of(e);
+                movable[kind][idx]
+            })
+        })
+        .map(|n| hpwl_of_net(&nets.pins[n.index()], &|e| placement.location(e)))
+        .sum();
     verify_eco_placement(&placement, pins_map)?;
     Ok(EcoPlacement {
         placement,
@@ -2483,7 +1840,10 @@ mod tests {
         assert_eq!(eco.delta_entities, 2);
         assert_eq!(eco.pinned_entities, p.num_entities() - 2);
         for i in 0..k - 2 {
-            assert_eq!(eco.placement.clb_loc[i], base.clb_loc[i], "pinned CLB {i} moved");
+            assert_eq!(
+                eco.placement.clb_loc[i], base.clb_loc[i],
+                "pinned CLB {i} moved"
+            );
         }
         assert_eq!(eco.placement.bram_loc, base.bram_loc);
         assert_eq!(eco.placement.iob_loc, base.iob_loc);
@@ -2508,12 +1868,18 @@ mod tests {
         let mut short = good.clone();
         short.clb.pop();
         let err = place_incremental(&n, &p, device, PlaceOptions::default(), &short);
-        assert!(matches!(err, Err(EcoPlaceError::PinCount { .. })), "{err:?}");
+        assert!(
+            matches!(err, Err(EcoPlaceError::PinCount { .. })),
+            "{err:?}"
+        );
 
         let mut illegal = good.clone();
         illegal.clb[0] = Some((usize::MAX, usize::MAX));
         let err = place_incremental(&n, &p, device, PlaceOptions::default(), &illegal);
-        assert!(matches!(err, Err(EcoPlaceError::IllegalPin { .. })), "{err:?}");
+        assert!(
+            matches!(err, Err(EcoPlaceError::IllegalPin { .. })),
+            "{err:?}"
+        );
 
         let mut dup = good.clone();
         if dup.clb.len() >= 2 {
@@ -2535,8 +1901,7 @@ mod tests {
         let pins = PinnedEntities::pin_base(&base, &p);
         let mut bad = base.clone();
         // Teleport the first CLB to a free legal site.
-        let used: std::collections::HashSet<(usize, usize)> =
-            bad.clb_loc.iter().copied().collect();
+        let used: std::collections::HashSet<(usize, usize)> = bad.clb_loc.iter().copied().collect();
         let free = device
             .clb_sites()
             .into_iter()
@@ -2544,7 +1909,10 @@ mod tests {
             .expect("free CLB site");
         bad.clb_loc[0] = free;
         let err = verify_eco_placement(&bad, &pins);
-        assert!(matches!(err, Err(EcoPlaceError::PinMoved { .. })), "{err:?}");
+        assert!(
+            matches!(err, Err(EcoPlaceError::PinMoved { .. })),
+            "{err:?}"
+        );
         // And the untouched base passes.
         verify_eco_placement(&base, &pins).unwrap();
     }
