@@ -1,8 +1,8 @@
 //! Micro-benchmarks for the substrates: espresso minimization, LUT
-//! technology mapping, simulated-annealing placement (full and ECO), routing, and
-//! cycle-based netlist simulation throughput. Runs on the in-workspace
-//! `paper_bench::timing` harness (hermetic, no registry deps); writes
-//! `results/bench_substrates.json`.
+//! technology mapping, simulated-annealing placement (full and ECO),
+//! routing, and cycle-based netlist simulation throughput. Runs on the
+//! in-workspace `paper_bench::timing` harness (hermetic, no registry
+//! deps); writes `results/bench_substrates.json`.
 
 use emb_fsm::baseline::ff_netlist;
 use emb_fsm::clock_control::attach_emb_clock_control;
