@@ -143,6 +143,10 @@ fn main() {
 
     let mut cfg: FlowConfig = paper_config();
     cfg.backend = MapBackend::Direct;
+    let ovl_cfg = FlowConfig {
+        backend: MapBackend::Overlay,
+        ..cfg.clone()
+    };
     let emb_opts = EmbOptions::default();
     let stimulus = Stimulus::Random;
     let items = items();
@@ -178,7 +182,7 @@ fn main() {
     let mut verify_failures = 0usize;
     let mut base_builds = 0usize;
     for (it, row) in items.iter().zip(rows.iter_mut()) {
-        match emb_fsm::flow::emb_overlay_flow(&it.stg, &stimulus, &cfg) {
+        match emb_fsm::flow::emb_flow(&it.stg, &emb_opts, &stimulus, &ovl_cfg) {
             Ok(rep) => {
                 let ovl = rep.overlay.as_ref().expect("overlay report present");
                 if !ovl.base_cache_hit {
@@ -205,7 +209,7 @@ fn main() {
     keep_only_bases(&cache_dir);
     let mut phase_c_base_misses = 0usize;
     for (it, row) in items.iter().zip(rows.iter_mut()).filter(|(_, r)| r.fit) {
-        let rep = emb_fsm::flow::emb_overlay_flow(&it.stg, &stimulus, &cfg)
+        let rep = emb_fsm::flow::emb_flow(&it.stg, &emb_opts, &stimulus, &ovl_cfg)
             .unwrap_or_else(|e| panic!("{}: warm-base overlay flow failed: {e}", it.name));
         let ovl = rep.overlay.as_ref().expect("overlay report present");
         if !ovl.base_cache_hit {
@@ -217,7 +221,7 @@ fn main() {
     // Phase D: second pass, nothing cleared — base artifacts must hit.
     let mut second_run_base_misses = 0usize;
     for (it, _row) in items.iter().zip(rows.iter()).filter(|(_, r)| r.fit) {
-        let rep = emb_fsm::flow::emb_overlay_flow(&it.stg, &stimulus, &cfg)
+        let rep = emb_fsm::flow::emb_flow(&it.stg, &emb_opts, &stimulus, &ovl_cfg)
             .unwrap_or_else(|e| panic!("{}: second overlay flow failed: {e}", it.name));
         if !rep.overlay.as_ref().expect("overlay report present").base_cache_hit {
             second_run_base_misses += 1;

@@ -18,11 +18,12 @@
 
 use crate::paper_config;
 use emb_fsm::flow::{
-    emb_clock_controlled_flow, emb_flow_with_fallback, mapping_for, FlowConfig, FlowReport,
-    ImplKind, MapBackend, Stimulus,
+    emb_clock_controlled_flow, emb_flow_with_fallback, FlowConfig, FlowReport, ImplKind,
+    MapBackend, Stimulus,
 };
-use emb_fsm::map::EmbOptions;
+use emb_fsm::map::{map_fsm_into_embs, EmbOptions};
 use fpga_fabric::device::Device;
+use fpga_fabric::place::PlaceOptions;
 use fsm_model::corpus::decode_spec;
 use fsm_model::generate::{generate, StgSpec};
 use logic_synth::synth::SynthOptions;
@@ -63,12 +64,18 @@ pub fn profile(tier: &str, spec: &StgSpec) -> TierProfile {
     // A deliberately cheap base: corpus throughput runs push thousands of
     // machines, so simulate/verify lengths are a fraction of the paper
     // config's. All values are fixed here — never from the environment —
-    // so outcome rows are reproducible anywhere.
+    // so outcome rows are reproducible anywhere. The one exception is the
+    // mapping backend, which stays ambient (see [`run_item_with_backend`]);
+    // the placer starts from its defaults, not from `paper_config`'s
+    // place-tuning knobs.
     let mut cfg = paper_config();
     cfg.cycles = 240;
     cfg.verify_cycles = 120;
     cfg.freqs_mhz = vec![100.0];
-    cfg.place.effort = 2.0;
+    cfg.place = PlaceOptions {
+        effort: 2.0,
+        ..PlaceOptions::default()
+    };
     let mut p = TierProfile {
         cfg,
         emb_opts: EmbOptions::default(),
@@ -136,7 +143,7 @@ pub fn profile(tier: &str, spec: &StgSpec) -> TierProfile {
 
 /// One corpus outcome: the deterministic, backend-independent record of
 /// pushing one item through its tier's flow.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Outcome {
     /// The self-describing item name.
     pub item: String,
@@ -258,7 +265,7 @@ pub fn run_item_with_backend(item: &str, backend: Option<MapBackend>) -> Outcome
     let rung = match report.kind {
         ImplKind::Ff | ImplKind::FfClockGated => "ff".to_string(),
         ImplKind::EmbOverlay => "overlay".to_string(),
-        ImplKind::Emb | ImplKind::EmbClockControlled => mapping_for(&stg, &p.emb_opts)
+        ImplKind::Emb | ImplKind::EmbClockControlled => map_fsm_into_embs(&stg, &p.emb_opts)
             .map_or_else(|_| "ff".to_string(), |emb| emb.rung().label().to_string()),
     };
     let downgrades = if report.downgrades.is_empty() {

@@ -7,24 +7,37 @@
 //! estimate power at each requested clock frequency plus the critical
 //! path. The [`FlowReport`] rows are what the experiment harness prints
 //! as the paper's tables.
+//!
+//! The five public flows are thin wrappers over one private pipeline.
+//! A private `Front` value names the netlist to build, one per
+//! [`ImplKind`]. One front-end resolves it through the flow cache (build,
+//! verify, store on a miss; replay the recorded downgrades on a hit), and
+//! one physical half places, routes, simulates and estimates it. The
+//! overlay backend is [`emb_flow`] under [`FlowConfig::backend`]: its
+//! front-end plans the class, and its physical step resolves the class
+//! base instead of placing the netlist. Both fallbacks, overlay → direct
+//! and EMB → FF, go through one fallback helper.
 
 use crate::baseline::ff_netlist;
-use crate::cache::{self, Frontend};
+use crate::cache;
 use crate::clock_control::{attach_emb_clock_control, attach_ff_clock_gating};
-use crate::map::{map_fsm_into_embs, EmbFsm, EmbOptions};
+use crate::map::{map_fsm_into_embs, EmbOptions};
 use crate::overlay::{overlay_fsm, OverlayClass, OverlayError};
-use crate::verify::{verify_against_stg, verify_rewrite, OutputTiming, VerificationMethod, VerifyError};
+use crate::verify::{
+    verify_against_stg, verify_rewrite, OutputTiming, VerificationMethod, VerifyError,
+};
 use fpga_fabric::device::Device;
 use fpga_fabric::netlist::Netlist;
 use fpga_fabric::pack::{pack, pack_partitioned, AreaReport, PackedDesign};
 use fpga_fabric::place::{
     place, place_incremental, verify_eco_placement, PinnedEntities, PlaceError, PlaceOptions,
+    Placement,
 };
-use fpga_fabric::route::{route, RouteError, RouteOptions};
+use fpga_fabric::route::{route, RouteError, RouteOptions, RoutedDesign};
 use fpga_fabric::timing::{analyze, DelayModel, TimingReport};
 use fsm_model::simulate::{idle_fraction, trace};
 use fsm_model::stg::Stg;
-use logic_synth::synth::{synthesize, SynthError, SynthOptions};
+use logic_synth::synth::{synthesize, SynthBudget, SynthError, SynthOptions};
 use netsim::kernel::BatchSimulator;
 use netsim::stimulus as netstim;
 use powermodel::{estimate, PowerParams, PowerReport};
@@ -257,7 +270,7 @@ pub struct FlowReport {
 /// base artifact, which is the load time on a cache hit). Values are
 /// unrounded here; renderers round at the last moment (the corpus row
 /// uses one decimal).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StageTimings {
     /// Front-end netlist construction (synthesis / mapping) time.
     pub synth_ms: f64,
@@ -518,9 +531,6 @@ pub enum FlowErrorKind {
     /// Power estimation was handed an activity record from a different
     /// netlist.
     Power(powermodel::ActivityMismatch),
-    /// The requested stimulus needs an STG oracle (idle biasing), but the
-    /// flow was given an external netlist without one.
-    NeedsOracle,
     /// The state-minimization pre-pass failed.
     Minimize(String),
 }
@@ -537,9 +547,6 @@ impl fmt::Display for FlowErrorKind {
             FlowErrorKind::Route(e) => write!(f, "routing: {e}"),
             FlowErrorKind::Netlist(e) => write!(f, "netlist: {e}"),
             FlowErrorKind::Power(e) => write!(f, "power estimation: {e}"),
-            FlowErrorKind::NeedsOracle => {
-                write!(f, "idle-biased stimulus needs an STG oracle")
-            }
             FlowErrorKind::Minimize(e) => write!(f, "state minimization: {e}"),
         }
     }
@@ -616,96 +623,7 @@ pub fn ff_flow(
     stimulus: &Stimulus,
     cfg: &FlowConfig,
 ) -> Result<FlowReport, FlowError> {
-    let entry = cache::stats_snapshot();
-    let mut stage = StageTimings::default();
-    let key = cache::ff_frontend_key("ff", stg, synth_opts, cfg.minimize_states);
-    let (netlist, downgrades) = match cache::load_frontend(&key) {
-        Some(fe) => (fe.netlist, skipped_downgrades(fe.synth_skipped_functions)),
-        None => {
-            let t = Instant::now();
-            let impl_stg = prepared(stg, cfg)?;
-            let synth = synthesize(&impl_stg, synth_opts).map_err(|e| {
-                FlowError::new(stg.name(), FlowStage::Synth, FlowErrorKind::Synth(e))
-            })?;
-            let downgrades = synth_downgrades(&synth);
-            let (netlist, _) = ff_netlist(&synth, false);
-            stage.synth_ms = ms_since(t);
-            let t = Instant::now();
-            verify_against_stg(
-                &netlist,
-                stg,
-                OutputTiming::Combinational,
-                cfg.verify_cycles,
-                cfg.seed,
-            )
-            .map_err(|e| FlowError::new(stg.name(), FlowStage::Verify, FlowErrorKind::Verify(e)))?;
-            stage.verify_ms = ms_since(t);
-            cache::store_frontend(&key, &netlist, None, skipped_of(&downgrades), None);
-            (netlist, downgrades)
-        }
-    };
-    let mut report = implement(
-        stg,
-        netlist,
-        ImplKind::Ff,
-        None,
-        stimulus,
-        cfg,
-        downgrades,
-        None,
-        stage,
-    )?;
-    report.cache = cache::stats_snapshot().since(entry);
-    Ok(report)
-}
-
-/// Milliseconds elapsed since `t`.
-fn ms_since(t: Instant) -> f64 {
-    t.elapsed().as_secs_f64() * 1e3
-}
-
-/// Downgrades to record for a synthesized machine (budget overruns).
-fn synth_downgrades(synth: &logic_synth::synth::SynthesizedFsm) -> Vec<Downgrade> {
-    match synth.budget {
-        logic_synth::synth::SynthBudget::Completed => Vec::new(),
-        logic_synth::synth::SynthBudget::Exhausted {
-            skipped_functions, ..
-        } => {
-            vec![Downgrade::SynthBudgetExhausted { skipped_functions }]
-        }
-    }
-}
-
-/// The `SynthBudgetExhausted` payload, if present (cache record material).
-fn skipped_of(downgrades: &[Downgrade]) -> Option<usize> {
-    downgrades.iter().find_map(|d| match d {
-        Downgrade::SynthBudgetExhausted { skipped_functions } => Some(*skipped_functions),
-        _ => None,
-    })
-}
-
-/// Rebuilds the synth-budget downgrade list from a cached front-end.
-fn skipped_downgrades(skipped: Option<usize>) -> Vec<Downgrade> {
-    skipped
-        .map(|skipped_functions| Downgrade::SynthBudgetExhausted { skipped_functions })
-        .into_iter()
-        .collect()
-}
-
-/// The `VerifySampled` cache payload for a verification outcome.
-fn sampled_of(stg: &Stg, method: &VerificationMethod) -> Option<usize> {
-    match method {
-        VerificationMethod::Exhaustive(_) => None,
-        VerificationMethod::Sampled { .. } => Some(stg.num_inputs()),
-    }
-}
-
-/// Rebuilds the sampled-verification downgrade list from its cache payload.
-fn sampled_downgrades(sampled: Option<usize>) -> Vec<Downgrade> {
-    sampled
-        .map(|inputs| Downgrade::VerifySampled { inputs })
-        .into_iter()
-        .collect()
+    run(stg, Front::Ff(synth_opts), stimulus, cfg)
 }
 
 /// Runs the FF flow with clock-enable gating on the state register.
@@ -719,64 +637,7 @@ pub fn ff_clock_gated_flow(
     stimulus: &Stimulus,
     cfg: &FlowConfig,
 ) -> Result<FlowReport, FlowError> {
-    let entry = cache::stats_snapshot();
-    let mut stage = StageTimings::default();
-    let key = cache::ff_frontend_key("ffg", stg, synth_opts, cfg.minimize_states);
-    let (netlist, stats, downgrades) = match cache::load_frontend(&key) {
-        Some(Frontend {
-            netlist,
-            clock_control: Some(stats),
-            synth_skipped_functions,
-            ..
-        }) => (netlist, stats, skipped_downgrades(synth_skipped_functions)),
-        _ => {
-            let t = Instant::now();
-            let impl_stg = prepared(stg, cfg)?;
-            let synth = synthesize(&impl_stg, synth_opts).map_err(|e| {
-                FlowError::new(stg.name(), FlowStage::Synth, FlowErrorKind::Synth(e))
-            })?;
-            let downgrades = synth_downgrades(&synth);
-            let (netlist, control) = attach_ff_clock_gating(&synth, &impl_stg, synth_opts.map)
-                .map_err(|e| {
-                    FlowError::new(
-                        stg.name(),
-                        FlowStage::ClockControl,
-                        FlowErrorKind::ClockControl(e),
-                    )
-                })?;
-            stage.synth_ms = ms_since(t);
-            let t = Instant::now();
-            verify_against_stg(
-                &netlist,
-                stg,
-                OutputTiming::Combinational,
-                cfg.verify_cycles,
-                cfg.seed,
-            )
-            .map_err(|e| FlowError::new(stg.name(), FlowStage::Verify, FlowErrorKind::Verify(e)))?;
-            stage.verify_ms = ms_since(t);
-            let stats = ClockControlStats {
-                luts: control.num_luts(),
-                slices: control.num_slices(),
-                idle_cubes: control.idle_cubes,
-            };
-            cache::store_frontend(&key, &netlist, Some(stats), skipped_of(&downgrades), None);
-            (netlist, stats, downgrades)
-        }
-    };
-    let mut report = implement(
-        stg,
-        netlist,
-        ImplKind::FfClockGated,
-        Some(stats),
-        stimulus,
-        cfg,
-        downgrades,
-        None,
-        stage,
-    )?;
-    report.cache = cache::stats_snapshot().since(entry);
-    Ok(report)
+    run(stg, Front::FfGated(synth_opts), stimulus, cfg)
 }
 
 /// Runs the EMB flow (Fig. 1b) on the backend selected by
@@ -785,182 +646,34 @@ pub fn ff_clock_gated_flow(
 /// capacity failures (`auto`, recording
 /// [`Downgrade::OverlayCapacity`]).
 ///
+/// On the overlay backend the machine is compiled onto its overlay class
+/// — a capacity check, a padded ROM image, and the usual
+/// `verify_rewrite` proof — and the class's pre-placed, pre-routed base
+/// supplies the physical design. The base is built (and cached) the
+/// first time any machine of the class is compiled; after that, per-FSM
+/// turnaround is O(memory-init), not O(place & route).
+///
 /// # Errors
 ///
-/// Any stage may fail; see [`FlowError`]. Under `auto`, overlay
-/// *capacity* failures are absorbed; correctness failures propagate.
+/// Any stage may fail; see [`FlowError`]. The overlay backend fails with
+/// a typed capacity error ([`FlowErrorKind::Overlay`]) when the machine
+/// exceeds the overlay ladder. Under `auto`, overlay *capacity* failures
+/// are absorbed; correctness failures propagate.
 pub fn emb_flow(
     stg: &Stg,
     emb_opts: &EmbOptions,
     stimulus: &Stimulus,
     cfg: &FlowConfig,
 ) -> Result<FlowReport, FlowError> {
+    let direct = || run(stg, Front::Emb(emb_opts), stimulus, cfg);
+    let overlay = || run(stg, Front::Overlay, stimulus, cfg);
     match cfg.backend {
-        MapBackend::Direct => emb_direct_flow(stg, emb_opts, stimulus, cfg),
-        MapBackend::Overlay => emb_overlay_flow(stg, stimulus, cfg),
-        MapBackend::Auto => {
-            let entry = cache::stats_snapshot();
-            match emb_overlay_flow(stg, stimulus, cfg) {
-                Ok(report) => Ok(report),
-                Err(e) if e.is_capacity() => {
-                    let reason = e.to_string();
-                    let mut report = emb_direct_flow(stg, emb_opts, stimulus, cfg)?;
-                    report.downgrades.push(Downgrade::OverlayCapacity { reason });
-                    // Span both attempts: the overlay misses belong to
-                    // this run too.
-                    report.cache = cache::stats_snapshot().since(entry);
-                    Ok(report)
-                }
-                Err(e) => Err(e),
-            }
-        }
+        MapBackend::Direct => direct(),
+        MapBackend::Overlay => overlay(),
+        MapBackend::Auto => fall_back(overlay, direct, |reason| Downgrade::OverlayCapacity {
+            reason,
+        }),
     }
-}
-
-/// The direct EMB backend: per-FSM mapping and full place & route.
-fn emb_direct_flow(
-    stg: &Stg,
-    emb_opts: &EmbOptions,
-    stimulus: &Stimulus,
-    cfg: &FlowConfig,
-) -> Result<FlowReport, FlowError> {
-    let entry = cache::stats_snapshot();
-    let (netlist, downgrades, stage) = emb_frontend(stg, emb_opts, cfg)?;
-    let mut report = implement(
-        stg,
-        netlist,
-        ImplKind::Emb,
-        None,
-        stimulus,
-        cfg,
-        downgrades,
-        None,
-        stage,
-    )?;
-    report.cache = cache::stats_snapshot().since(entry);
-    Ok(report)
-}
-
-/// Runs the EMB flow on the overlay backend: the machine is compiled
-/// onto its overlay class — a capacity check, a padded ROM image, and
-/// the usual `verify_rewrite` proof — and the class's pre-placed,
-/// pre-routed base supplies the physical design. The base is built (and
-/// cached) the first time any machine of the class is compiled; after
-/// that, per-FSM turnaround is O(memory-init), not O(place & route).
-///
-/// # Errors
-///
-/// Typed capacity failures ([`FlowErrorKind::Overlay`]) when the machine
-/// exceeds the overlay ladder; otherwise see [`FlowError`].
-pub fn emb_overlay_flow(
-    stg: &Stg,
-    stimulus: &Stimulus,
-    cfg: &FlowConfig,
-) -> Result<FlowReport, FlowError> {
-    let entry = cache::stats_snapshot();
-    let (netlist, class, downgrades, stage) = overlay_frontend(stg, cfg)?;
-    let (vectors, idle) = oracle_vectors(stg, stimulus, cfg);
-    let mut report = overlay_physical(
-        stg.name(),
-        netlist,
-        class,
-        &vectors,
-        idle,
-        cfg,
-        downgrades,
-        stage,
-    )?;
-    report.cache = cache::stats_snapshot().since(entry);
-    Ok(report)
-}
-
-/// The shared plain-EMB front-end: maps the machine into BRAMs and proves
-/// the rewrite through the verification ladder (exhaustive product walk up
-/// to [`FlowConfig::exhaustive_verify_max_inputs`] inputs, sampled lockstep
-/// beyond). Cached under the `"emb"` key, so [`emb_flow`] and the
-/// clock-controlled flow's ECO base resolve to the identical netlist.
-fn emb_frontend(
-    stg: &Stg,
-    emb_opts: &EmbOptions,
-    cfg: &FlowConfig,
-) -> Result<(Netlist, Vec<Downgrade>, StageTimings), FlowError> {
-    let mut stage = StageTimings::default();
-    let key = cache::emb_frontend_key("emb", stg, emb_opts, cfg.minimize_states);
-    if let Some(fe) = cache::load_frontend(&key) {
-        return Ok((
-            fe.netlist,
-            sampled_downgrades(fe.verify_sampled_inputs),
-            stage,
-        ));
-    }
-    let t = Instant::now();
-    let impl_stg = prepared(stg, cfg)?;
-    let emb = map_fsm_into_embs(&impl_stg, emb_opts)
-        .map_err(|e| FlowError::new(stg.name(), FlowStage::Map, FlowErrorKind::Map(e)))?;
-    let netlist = emb.to_netlist();
-    stage.synth_ms = ms_since(t);
-    let t = Instant::now();
-    let method = verify_rewrite(
-        &netlist,
-        stg,
-        OutputTiming::Registered,
-        cfg.exhaustive_verify_max_inputs,
-        cfg.verify_cycles,
-        cfg.seed,
-    )
-    .map_err(|e| FlowError::new(stg.name(), FlowStage::Verify, FlowErrorKind::Verify(e)))?;
-    stage.verify_ms = ms_since(t);
-    let sampled = sampled_of(stg, &method);
-    cache::store_frontend(&key, &netlist, None, None, sampled);
-    Ok((netlist, sampled_downgrades(sampled), stage))
-}
-
-/// The overlay front-end: plans the machine's overlay class, builds the
-/// padded ROM image and the overlay netlist, and proves the rewrite
-/// through the same `verify_rewrite` ladder as the direct backend.
-/// Cached under the `"ovl"` key. The class is re-planned on a cache hit
-/// — planning is pure arithmetic on the port/state counts, so it costs
-/// nothing and keeps the cached record netlist-only.
-fn overlay_frontend(
-    stg: &Stg,
-    cfg: &FlowConfig,
-) -> Result<(Netlist, OverlayClass, Vec<Downgrade>, StageTimings), FlowError> {
-    let mut stage = StageTimings::default();
-    let impl_stg = prepared(stg, cfg)?;
-    let class = OverlayClass::plan(
-        impl_stg.num_inputs(),
-        impl_stg.num_states(),
-        impl_stg.num_outputs(),
-    )
-    .map_err(|e| FlowError::new(stg.name(), FlowStage::Map, FlowErrorKind::Overlay(e)))?;
-    let key = cache::overlay_frontend_key(stg, cfg.minimize_states);
-    if let Some(fe) = cache::load_frontend(&key) {
-        return Ok((
-            fe.netlist,
-            class,
-            sampled_downgrades(fe.verify_sampled_inputs),
-            stage,
-        ));
-    }
-    let t = Instant::now();
-    let ovl = overlay_fsm(&impl_stg)
-        .map_err(|e| FlowError::new(stg.name(), FlowStage::Map, FlowErrorKind::Overlay(e)))?;
-    let netlist = ovl.fsm_netlist();
-    stage.synth_ms = ms_since(t);
-    let t = Instant::now();
-    let method = verify_rewrite(
-        &netlist,
-        stg,
-        OutputTiming::Registered,
-        cfg.exhaustive_verify_max_inputs,
-        cfg.verify_cycles,
-        cfg.seed,
-    )
-    .map_err(|e| FlowError::new(stg.name(), FlowStage::Verify, FlowErrorKind::Verify(e)))?;
-    stage.verify_ms = ms_since(t);
-    let sampled = sampled_of(stg, &method);
-    cache::store_frontend(&key, &netlist, None, None, sampled);
-    Ok((netlist, class, sampled_downgrades(sampled), stage))
 }
 
 /// Runs the EMB flow with the full degradation ladder: if mapping (or
@@ -981,19 +694,11 @@ pub fn emb_flow_with_fallback(
     stimulus: &Stimulus,
     cfg: &FlowConfig,
 ) -> Result<FlowReport, FlowError> {
-    let entry = cache::stats_snapshot();
-    match emb_flow(stg, emb_opts, stimulus, cfg) {
-        Ok(report) => Ok(report),
-        Err(e) if e.is_capacity() => {
-            let reason = e.to_string();
-            let mut report = ff_flow(stg, synth_opts, stimulus, cfg)?;
-            report.downgrades.push(Downgrade::EmbToFf { reason });
-            // Span both attempts: the EMB misses belong to this run too.
-            report.cache = cache::stats_snapshot().since(entry);
-            Ok(report)
-        }
-        Err(e) => Err(e),
-    }
+    fall_back(
+        || emb_flow(stg, emb_opts, stimulus, cfg),
+        || ff_flow(stg, synth_opts, stimulus, cfg),
+        |reason| Downgrade::EmbToFf { reason },
+    )
 }
 
 /// Runs the EMB flow with Sec. 6 clock control.
@@ -1007,108 +712,251 @@ pub fn emb_clock_controlled_flow(
     stimulus: &Stimulus,
     cfg: &FlowConfig,
 ) -> Result<FlowReport, FlowError> {
+    run(stg, Front::EmbCc(emb_opts), stimulus, cfg)
+}
+
+/// One rung of the degradation ladder: runs `first` and, when it fails
+/// for capacity (see [`FlowError::is_capacity`]), runs `next` instead and
+/// records `downgrade` with the first failure as its reason. Correctness
+/// failures propagate from either rung.
+fn fall_back(
+    first: impl FnOnce() -> Result<FlowReport, FlowError>,
+    next: impl FnOnce() -> Result<FlowReport, FlowError>,
+    downgrade: fn(String) -> Downgrade,
+) -> Result<FlowReport, FlowError> {
     let entry = cache::stats_snapshot();
-    let mut stage = StageTimings::default();
-    let key = cache::emb_frontend_key("embcc", stg, emb_opts, cfg.minimize_states);
-    let (netlist, stats, mut downgrades) = match cache::load_frontend(&key) {
-        Some(Frontend {
-            netlist,
-            clock_control: Some(stats),
-            verify_sampled_inputs,
-            ..
-        }) => (netlist, stats, sampled_downgrades(verify_sampled_inputs)),
-        _ => {
-            let t = Instant::now();
-            let impl_stg = prepared(stg, cfg)?;
-            let emb = map_fsm_into_embs(&impl_stg, emb_opts)
-                .map_err(|e| FlowError::new(stg.name(), FlowStage::Map, FlowErrorKind::Map(e)))?;
-            let (netlist, control) =
-                attach_emb_clock_control(&emb, emb_opts.lut_map).map_err(|e| {
-                    FlowError::new(
-                        stg.name(),
-                        FlowStage::ClockControl,
-                        FlowErrorKind::ClockControl(e),
-                    )
-                })?;
-            stage.synth_ms = ms_since(t);
-            let t = Instant::now();
-            let method = verify_rewrite(
-                &netlist,
-                stg,
-                OutputTiming::Registered,
-                cfg.exhaustive_verify_max_inputs,
-                cfg.verify_cycles,
-                cfg.seed,
-            )
-            .map_err(|e| FlowError::new(stg.name(), FlowStage::Verify, FlowErrorKind::Verify(e)))?;
-            stage.verify_ms = ms_since(t);
-            let stats = ClockControlStats {
-                luts: control.num_luts(),
-                slices: control.num_slices(),
-                idle_cubes: control.idle_cubes,
-            };
-            let sampled = sampled_of(stg, &method);
-            cache::store_frontend(&key, &netlist, Some(stats), None, sampled);
-            (netlist, stats, sampled_downgrades(sampled))
+    match first() {
+        Err(e) if e.is_capacity() => {
+            let mut report = next()?;
+            report.downgrades.push(downgrade(e.to_string()));
+            // Span both attempts: the first rung's misses belong to this
+            // run too.
+            report.cache = cache::stats_snapshot().since(entry);
+            Ok(report)
         }
-    };
+        result => result,
+    }
+}
+
+/// The netlist a flow builds, one variant per [`ImplKind`].
+#[derive(Clone, Copy)]
+enum Front<'a> {
+    /// Conventional FF + LUT synthesis.
+    Ff(SynthOptions),
+    /// FF + LUT with clock-enable gating on the state register.
+    FfGated(SynthOptions),
+    /// Per-FSM EMB mapping.
+    Emb(&'a EmbOptions),
+    /// EMB mapping with the Sec. 6 clock control.
+    EmbCc(&'a EmbOptions),
+    /// EMB mapping compiled onto an overlay class.
+    Overlay,
+}
+
+impl Front<'_> {
+    fn kind(self) -> ImplKind {
+        match self {
+            Front::Ff(_) => ImplKind::Ff,
+            Front::FfGated(_) => ImplKind::FfClockGated,
+            Front::Emb(_) => ImplKind::Emb,
+            Front::EmbCc(_) => ImplKind::EmbClockControlled,
+            Front::Overlay => ImplKind::EmbOverlay,
+        }
+    }
+
+    /// Whether the netlist carries clock control (so its cache record
+    /// must carry the overhead stats).
+    fn gated(self) -> bool {
+        matches!(self, Front::FfGated(_) | Front::EmbCc(_))
+    }
+}
+
+/// A verified front-end netlist and what the physical half needs with it.
+struct Built {
+    netlist: Netlist,
+    clock_control: Option<ClockControlStats>,
+    downgrades: Vec<Downgrade>,
+    stage: StageTimings,
+    /// The planned overlay class ([`Front::Overlay`] only).
+    class: Option<OverlayClass>,
+}
+
+/// The one flow pipeline: the front-end, then — for the clock-controlled
+/// kind under [`FlowConfig::eco_place`] — the plain EMB front-end as the
+/// ECO base, then the physical half. The report's cache counters cover
+/// every lookup of the run.
+fn run(
+    stg: &Stg,
+    front: Front<'_>,
+    stimulus: &Stimulus,
+    cfg: &FlowConfig,
+) -> Result<FlowReport, FlowError> {
+    let entry = cache::stats_snapshot();
+    let mut built = frontend(stg, front, cfg)?;
     // The ECO base: the plain design this clock-controlled netlist extends.
     // Resolving it can only fail if the plain mapping fails, in which case
     // the gated flow still completes with a full placement.
-    let eco_base = if cfg.eco_place {
-        match emb_frontend(stg, emb_opts, cfg) {
-            Ok((plain, _, _)) => Some(plain),
+    let eco_base = match front {
+        Front::EmbCc(emb_opts) if cfg.eco_place => match frontend(stg, Front::Emb(emb_opts), cfg) {
+            Ok(plain) => Some(plain.netlist),
             Err(e) => {
-                downgrades.push(Downgrade::EcoFallback {
+                built.downgrades.push(Downgrade::EcoFallback {
                     reason: e.to_string(),
                 });
                 None
             }
-        }
-    } else {
-        None
+        },
+        _ => None,
     };
-    let mut report = implement(
-        stg,
-        netlist,
-        ImplKind::EmbClockControlled,
-        Some(stats),
-        stimulus,
-        cfg,
-        downgrades,
-        eco_base.as_ref(),
-        stage,
-    )?;
+    let mut report = physical(stg, built, front.kind(), stimulus, cfg, eco_base.as_ref())?;
     report.cache = cache::stats_snapshot().since(entry);
     Ok(report)
 }
 
-/// Maps an already-built netlist onto the device, simulates, and reports.
-#[allow(clippy::too_many_arguments)]
-fn implement(
-    stg: &Stg,
-    netlist: Netlist,
-    kind: ImplKind,
-    clock_control: Option<ClockControlStats>,
-    stimulus: &Stimulus,
-    cfg: &FlowConfig,
-    downgrades: Vec<Downgrade>,
-    eco_base: Option<&Netlist>,
-    stage: StageTimings,
-) -> Result<FlowReport, FlowError> {
-    let (vectors, idle) = oracle_vectors(stg, stimulus, cfg);
-    physical(
-        stg.name(),
+/// The one front-end. It looks the kind's record up in the flow cache;
+/// a hit replays the recorded synth-budget and sampled-verification
+/// downgrades, and a gated record without its clock-control stats is
+/// rebuilt. On a miss it builds the netlist, verifies it — lockstep
+/// against the STG for the FF kinds, the `verify_rewrite` ladder for the
+/// EMB kinds (exhaustive product walk up to
+/// [`FlowConfig::exhaustive_verify_max_inputs`] inputs, sampled beyond) —
+/// and stores it. The plain EMB record is shared by [`emb_flow`] and the
+/// clock-controlled flow's ECO base, so both resolve the same netlist.
+///
+/// The overlay kind plans its class before the lookup: planning is pure
+/// arithmetic on the port/state counts, so a capacity reject counts no
+/// cache miss and the record stays netlist-only. Every other kind runs
+/// the state-minimization pre-pass only on a miss.
+fn frontend(stg: &Stg, front: Front<'_>, cfg: &FlowConfig) -> Result<Built, FlowError> {
+    let fail = |stage, kind| FlowError::new(stg.name(), stage, kind);
+    let (planned, class) = match front {
+        Front::Overlay => {
+            let impl_stg = prepared(stg, cfg)?;
+            let class = OverlayClass::plan(
+                impl_stg.num_inputs(),
+                impl_stg.num_states(),
+                impl_stg.num_outputs(),
+            )
+            .map_err(|e| fail(FlowStage::Map, FlowErrorKind::Overlay(e)))?;
+            (Some(impl_stg), Some(class))
+        }
+        _ => (None, None),
+    };
+    let min = cfg.minimize_states;
+    let key = match front {
+        Front::Ff(o) => cache::ff_frontend_key("ff", stg, o, min),
+        Front::FfGated(o) => cache::ff_frontend_key("ffg", stg, o, min),
+        Front::Emb(o) => cache::emb_frontend_key("emb", stg, o, min),
+        Front::EmbCc(o) => cache::emb_frontend_key("embcc", stg, o, min),
+        Front::Overlay => cache::overlay_frontend_key(stg, min),
+    };
+    let gated = front.gated();
+    let mut stage = StageTimings::default();
+    if let Some(fe) = cache::load_frontend(&key).filter(|fe| !gated || fe.clock_control.is_some()) {
+        return Ok(Built {
+            netlist: fe.netlist,
+            clock_control: fe.clock_control.filter(|_| gated),
+            downgrades: replayed(fe.synth_skipped_functions, fe.verify_sampled_inputs),
+            stage,
+            class,
+        });
+    }
+
+    let t = Instant::now();
+    let impl_stg = match planned {
+        Some(impl_stg) => impl_stg,
+        None => prepared(stg, cfg)?,
+    };
+    let clock_control_err = |e| fail(FlowStage::ClockControl, FlowErrorKind::ClockControl(e));
+    let (netlist, control, skipped) = match front {
+        Front::Ff(o) | Front::FfGated(o) => {
+            let synth = synthesize(&impl_stg, o)
+                .map_err(|e| fail(FlowStage::Synth, FlowErrorKind::Synth(e)))?;
+            let skipped = match synth.budget {
+                SynthBudget::Completed => None,
+                SynthBudget::Exhausted {
+                    skipped_functions, ..
+                } => Some(skipped_functions),
+            };
+            if gated {
+                let (netlist, control) =
+                    attach_ff_clock_gating(&synth, &impl_stg, o.map).map_err(clock_control_err)?;
+                (netlist, Some(control), skipped)
+            } else {
+                (ff_netlist(&synth, false).0, None, skipped)
+            }
+        }
+        Front::Emb(o) | Front::EmbCc(o) => {
+            let emb = map_fsm_into_embs(&impl_stg, o)
+                .map_err(|e| fail(FlowStage::Map, FlowErrorKind::Map(e)))?;
+            if gated {
+                let (netlist, control) =
+                    attach_emb_clock_control(&emb, o.lut_map).map_err(clock_control_err)?;
+                (netlist, Some(control), None)
+            } else {
+                (emb.to_netlist(), None, None)
+            }
+        }
+        Front::Overlay => {
+            let ovl = overlay_fsm(&impl_stg)
+                .map_err(|e| fail(FlowStage::Map, FlowErrorKind::Overlay(e)))?;
+            (ovl.fsm_netlist(), None, None)
+        }
+    };
+    stage.synth_ms = ms_since(t);
+
+    let t = Instant::now();
+    let verify_err = |e| fail(FlowStage::Verify, FlowErrorKind::Verify(e));
+    let sampled = if matches!(front, Front::Ff(_) | Front::FfGated(_)) {
+        let timing = OutputTiming::Combinational;
+        verify_against_stg(&netlist, stg, timing, cfg.verify_cycles, cfg.seed)
+            .map_err(verify_err)?;
+        None
+    } else {
+        let method = verify_rewrite(
+            &netlist,
+            stg,
+            OutputTiming::Registered,
+            cfg.exhaustive_verify_max_inputs,
+            cfg.verify_cycles,
+            cfg.seed,
+        )
+        .map_err(verify_err)?;
+        match method {
+            VerificationMethod::Exhaustive(_) => None,
+            VerificationMethod::Sampled { .. } => Some(stg.num_inputs()),
+        }
+    };
+    stage.verify_ms = ms_since(t);
+
+    let clock_control = control.map(|c| ClockControlStats {
+        luts: c.num_luts(),
+        slices: c.num_slices(),
+        idle_cubes: c.idle_cubes,
+    });
+    cache::store_frontend(&key, &netlist, clock_control, skipped, sampled);
+    Ok(Built {
         netlist,
-        kind,
         clock_control,
-        &vectors,
-        idle,
-        cfg,
-        downgrades,
-        eco_base,
+        downgrades: replayed(skipped, sampled),
         stage,
-    )
+        class,
+    })
+}
+
+/// Milliseconds elapsed since `t`.
+fn ms_since(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1e3
+}
+
+/// The downgrades a front-end carries: a synthesis budget overrun
+/// (functions left unminimized) and a sampled, not exhaustive, rewrite
+/// proof (the machine's input count).
+fn replayed(skipped: Option<usize>, sampled: Option<usize>) -> Vec<Downgrade> {
+    let budget =
+        skipped.map(|skipped_functions| Downgrade::SynthBudgetExhausted { skipped_functions });
+    let verify = sampled.map(|inputs| Downgrade::VerifySampled { inputs });
+    budget.into_iter().chain(verify).collect()
 }
 
 /// The stimulus vectors plus the idle fraction the oracle achieves on
@@ -1124,60 +972,15 @@ fn oracle_vectors(stg: &Stg, stimulus: &Stimulus, cfg: &FlowConfig) -> (Vec<Vec<
     (vectors, idle)
 }
 
-/// Implements a netlist that has no STG oracle (external BLIF input):
-/// replayed stimulus only, idle fraction reported as 0.
-///
-/// # Errors
-///
-/// See [`FlowError`].
-pub(crate) fn implement_external(
-    netlist: Netlist,
-    kind: ImplKind,
-    clock_control: Option<ClockControlStats>,
-    stimulus: &Stimulus,
-    num_inputs: usize,
-    cfg: &FlowConfig,
-) -> Result<FlowReport, FlowError> {
-    let vectors: Vec<Vec<bool>> = match stimulus {
-        Stimulus::Replay(v) => v.clone(),
-        Stimulus::Random => netstim::random(num_inputs, cfg.cycles, cfg.seed),
-        Stimulus::IdleBiased(_) => {
-            return Err(FlowError::new(
-                netlist.name.clone(),
-                FlowStage::Simulate,
-                FlowErrorKind::NeedsOracle,
-            ))
-        }
-    };
-    let name = netlist.name.clone();
-    let entry = cache::stats_snapshot();
-    let mut report = physical(
-        &name,
-        netlist,
-        kind,
-        clock_control,
-        &vectors,
-        0.0,
-        cfg,
-        Vec::new(),
-        None,
-        StageTimings::default(),
-    )?;
-    report.cache = cache::stats_snapshot().since(entry);
-    Ok(report)
-}
-
-/// One device's worth of physical implementation evidence: what was
-/// packed and placed, how the placer's budget fared, and (when the ECO
-/// path produced it) the incremental-placement report.
-struct Implemented {
-    device: Device,
-    packed: PackedDesign,
-    place_budget: fpga_fabric::place::BudgetOutcome,
-    routed: fpga_fabric::route::RoutedDesign,
-    coord_digest: String,
-    place_fmax_est_mhz: f64,
-    eco: Option<EcoReport>,
+/// One device's worth of placement and routing.
+struct Placed {
+    placement: Placement,
+    routed: RoutedDesign,
+    /// The partitioned packing and the incremental-placement evidence,
+    /// when the ECO path produced the placement.
+    eco: Option<(PackedDesign, EcoReport)>,
+    /// True when an overlay base came out of the flow cache.
+    base_hit: bool,
 }
 
 /// The placer's pre-route fmax estimate (MHz) for a finished placement,
@@ -1185,7 +988,7 @@ struct Implemented {
 fn place_fmax_estimate(
     netlist: &Netlist,
     packed: &PackedDesign,
-    placement: &fpga_fabric::place::Placement,
+    placement: &Placement,
     delay: &DelayModel,
 ) -> f64 {
     fpga_fabric::sta::estimate_critical_ns(netlist, packed, placement, delay)
@@ -1196,6 +999,30 @@ fn place_fmax_estimate(
 /// base netlist's placement, pack the gated netlist as base + delta, pin
 /// every base entity, place only the delta, and route. Any failure is
 /// returned as a display string for the [`Downgrade::EcoFallback`] record.
+fn eco_on(
+    netlist: &Netlist,
+    netlist_bytes: &[u8],
+    base: &Netlist,
+    device: Device,
+    cfg: &FlowConfig,
+    stage: &mut StageTimings,
+) -> Result<Placed, String> {
+    let t = Instant::now();
+    let placed = try_eco(netlist, netlist_bytes, base, device, cfg);
+    stage.place_ms += ms_since(t);
+    let (packed, eco, report) = placed?;
+    let t = Instant::now();
+    let routed = route(netlist, &packed, &eco.placement, cfg.route);
+    stage.route_ms += ms_since(t);
+    Ok(Placed {
+        placement: eco.placement,
+        routed: routed.map_err(|e| format!("routing: {e}"))?,
+        eco: Some((packed, report)),
+        base_hit: false,
+    })
+}
+
+/// The placement half of [`eco_on`].
 fn try_eco(
     netlist: &Netlist,
     netlist_bytes: &[u8],
@@ -1251,270 +1078,236 @@ fn try_eco(
     Ok((packed, eco, report))
 }
 
-/// The physical half of a flow: pack, place, route, simulate, estimate.
-#[allow(clippy::too_many_arguments)]
-fn physical(
+/// Resolves an overlay class base on one device: its placement + routing
+/// come out of the flow cache, or are built and stored. The FSM netlist
+/// shares the base's structure cell for cell and net for net — only the
+/// BRAM init images differ, and neither placement nor routing reads
+/// those — so the stored physical result is exact, not approximate.
+/// Budget and upsize downgrades replay deterministically from the stored
+/// artifact: the placement carries its own budget outcome, and the
+/// device is part of the key.
+fn overlay_on(
     name: &str,
-    netlist: Netlist,
-    kind: ImplKind,
-    clock_control: Option<ClockControlStats>,
-    vectors: &[Vec<bool>],
-    idle: f64,
+    base: &Netlist,
+    base_bytes: &[u8],
+    device: Device,
     cfg: &FlowConfig,
-    mut downgrades: Vec<Downgrade>,
+    stage: &mut StageTimings,
+) -> Result<Placed, FlowError> {
+    let bkey = cache::overlay_base_key(base_bytes, &device, cfg.place_opts(), cfg.route);
+    let t = Instant::now();
+    let (b, base_hit) = match cache::load_overlay_base(&bkey) {
+        Some(b) => {
+            stage.place_ms += ms_since(t);
+            (b, true)
+        }
+        None => {
+            let (placement, routed) =
+                place_route(name, base, &pack(base), device, cfg, None, stage)?;
+            let b = cache::OverlayBase { placement, routed };
+            cache::store_overlay_base(&bkey, &b);
+            (b, false)
+        }
+    };
+    Ok(Placed {
+        placement: b.placement,
+        routed: b.routed,
+        eco: None,
+        base_hit,
+    })
+}
+
+/// Places `netlist` on `device` — through the placement cache under
+/// `pkey`, when given — and routes it, charging both stages' wall-clock.
+fn place_route(
+    name: &str,
+    netlist: &Netlist,
+    packed: &PackedDesign,
+    device: Device,
+    cfg: &FlowConfig,
+    pkey: Option<&cache::Key>,
+    stage: &mut StageTimings,
+) -> Result<(Placement, RoutedDesign), FlowError> {
+    let t = Instant::now();
+    let placement = match pkey.and_then(cache::load_placement) {
+        Some(p) => Ok(p),
+        None => {
+            let placed = place(netlist, packed, device, cfg.place_opts());
+            if let (Some(key), Ok(p)) = (pkey, &placed) {
+                cache::store_placement(key, p);
+            }
+            placed
+        }
+    };
+    stage.place_ms += ms_since(t);
+    let placement =
+        placement.map_err(|e| FlowError::new(name, FlowStage::Place, FlowErrorKind::Place(e)))?;
+    let t = Instant::now();
+    let routed = route(netlist, packed, &placement, cfg.route);
+    stage.route_ms += ms_since(t);
+    let routed =
+        routed.map_err(|e| FlowError::new(name, FlowStage::Route, FlowErrorKind::Route(e)))?;
+    Ok((placement, routed))
+}
+
+/// The physical half of every flow: pack, then place and route on the
+/// first ladder device that takes the design — the ECO path first when
+/// there is an ECO base, the class base for an overlay netlist, a full
+/// placement otherwise — then record the device-upsize and place-budget
+/// downgrades, analyze timing, simulate the stimulus for switching
+/// activity, estimate power, and assemble the report.
+fn physical(
+    stg: &Stg,
+    built: Built,
+    kind: ImplKind,
+    stimulus: &Stimulus,
+    cfg: &FlowConfig,
     eco_base: Option<&Netlist>,
-    mut stage: StageTimings,
 ) -> Result<FlowReport, FlowError> {
+    let Built {
+        netlist,
+        clock_control,
+        mut downgrades,
+        mut stage,
+        class,
+    } = built;
+    let name = stg.name();
     netlist
         .validate()
         .map_err(|e| FlowError::new(name, FlowStage::Pack, FlowErrorKind::Netlist(e)))?;
     let packed = pack(&netlist);
-    let mut implemented: Option<Implemented> = None;
+    let netlist_bytes = cache::encode_netlist(&netlist);
+    // One base per overlay class: the netlist with its memory images
+    // zeroed, named after the class.
+    let base = class.map(|class| {
+        let mut base = netlist.with_zeroed_bram_init();
+        base.name = class.label();
+        let bytes = cache::encode_netlist(&base);
+        (base, bytes)
+    });
+    let mut found = None;
     let mut last_err = None;
     let mut eco_failure: Option<String> = None;
-    let netlist_bytes = cache::encode_netlist(&netlist);
-    'devices: for &device in &device_ladder(cfg) {
+    for &device in &device_ladder(cfg) {
         // ECO first: pin the base at the plain design's coordinates and
         // place only the delta. Any failure falls through to the full
         // placement on the same device.
-        if let Some(base) = eco_base {
-            let t = Instant::now();
-            match try_eco(&netlist, &netlist_bytes, base, device, cfg) {
-                Ok((eco_packed, eco, report)) => {
-                    stage.place_ms += ms_since(t);
-                    let t = Instant::now();
-                    match route(&netlist, &eco_packed, &eco.placement, cfg.route) {
-                        Ok(routed) => {
-                            stage.route_ms += ms_since(t);
-                            implemented = Some(Implemented {
-                                device,
-                                coord_digest: cache::coords_digest(
-                                    &eco.placement.clb_loc,
-                                    &eco.placement.bram_loc,
-                                    &eco.placement.iob_loc,
-                                ),
-                                place_fmax_est_mhz: place_fmax_estimate(
-                                    &netlist,
-                                    &eco_packed,
-                                    &eco.placement,
-                                    &cfg.delay,
-                                ),
-                                packed: eco_packed,
-                                place_budget: eco.placement.budget,
-                                routed,
-                                eco: Some(report),
-                            });
-                            break 'devices;
-                        }
-                        Err(e) => {
-                            stage.route_ms += ms_since(t);
-                            eco_failure = Some(format!("routing: {e}"));
-                        }
-                    }
+        if let Some(eco_base) = eco_base {
+            match eco_on(&netlist, &netlist_bytes, eco_base, device, cfg, &mut stage) {
+                Ok(placed) => {
+                    found = Some((device, placed));
+                    break;
                 }
-                Err(reason) => {
-                    stage.place_ms += ms_since(t);
-                    eco_failure = Some(reason);
-                }
+                Err(reason) => eco_failure = Some(reason),
             }
         }
-        let t = Instant::now();
-        let pkey = cache::place_key(&netlist_bytes, &device, cfg.place_opts());
-        let placement = match cache::load_placement(&pkey) {
-            Some(p) => p,
-            None => match place(&netlist, &packed, device, cfg.place_opts()) {
-                Ok(p) => {
-                    cache::store_placement(&pkey, &p);
-                    p
-                }
-                Err(e) => {
-                    stage.place_ms += ms_since(t);
-                    last_err = Some(FlowError::new(
-                        name,
-                        FlowStage::Place,
-                        FlowErrorKind::Place(e),
-                    ));
-                    continue;
-                }
-            },
-        };
-        stage.place_ms += ms_since(t);
-        let t = Instant::now();
-        match route(&netlist, &packed, &placement, cfg.route) {
-            Ok(routed) => {
-                stage.route_ms += ms_since(t);
-                implemented = Some(Implemented {
+        let attempt = match &base {
+            Some((base, base_bytes)) => overlay_on(name, base, base_bytes, device, cfg, &mut stage),
+            None => {
+                let pkey = cache::place_key(&netlist_bytes, &device, cfg.place_opts());
+                place_route(
+                    name,
+                    &netlist,
+                    &packed,
                     device,
-                    packed: packed.clone(),
-                    place_budget: placement.budget,
-                    coord_digest: cache::coords_digest(
-                        &placement.clb_loc,
-                        &placement.bram_loc,
-                        &placement.iob_loc,
-                    ),
-                    place_fmax_est_mhz: place_fmax_estimate(
-                        &netlist,
-                        &packed,
-                        &placement,
-                        &cfg.delay,
-                    ),
+                    cfg,
+                    Some(&pkey),
+                    &mut stage,
+                )
+                .map(|(placement, routed)| Placed {
+                    placement,
                     routed,
                     eco: None,
-                });
+                    base_hit: false,
+                })
+            }
+        };
+        match attempt {
+            Ok(placed) => {
+                found = Some((device, placed));
                 break;
             }
-            Err(e) => {
-                stage.route_ms += ms_since(t);
-                last_err = Some(FlowError::new(
-                    name,
-                    FlowStage::Route,
-                    FlowErrorKind::Route(e),
-                ));
-            }
+            Err(e) => last_err = Some(e),
         }
     }
-    let Some(imp) = implemented else {
+    let Some((device, placed)) = found else {
         return Err(last_err.unwrap_or_else(|| no_device_fits(name)));
+    };
+    let Placed {
+        placement,
+        routed,
+        eco,
+        base_hit,
+    } = placed;
+    let (packed, eco) = match eco {
+        Some((eco_packed, report)) => (eco_packed, Some(report)),
+        None => (packed, None),
     };
     // An ECO failure is only a downgrade if the flow did NOT end up on the
     // ECO path (a later device may have succeeded incrementally).
-    if imp.eco.is_none() {
+    if eco.is_none() {
         if let Some(reason) = eco_failure {
             downgrades.push(Downgrade::EcoFallback { reason });
         }
     }
-    finish_report(
-        name,
-        &netlist,
-        kind,
-        clock_control,
-        vectors,
-        idle,
-        cfg,
-        downgrades,
-        imp,
-        stage,
-        None,
-    )
-}
-
-/// The physical half of the overlay flow: resolve (or build and cache)
-/// the class base's placement + routing on the device ladder, then reuse
-/// them verbatim for this machine. The FSM netlist shares the base's
-/// structure cell for cell and net for net — only the BRAM init images
-/// differ, and neither placement nor routing reads those — so the stored
-/// physical result is exact, not approximate. Budget and upsize
-/// downgrades replay deterministically from the stored artifact: the
-/// placement carries its own budget outcome, and the device is part of
-/// the key.
-#[allow(clippy::too_many_arguments)]
-fn overlay_physical(
-    name: &str,
-    netlist: Netlist,
-    class: OverlayClass,
-    vectors: &[Vec<bool>],
-    idle: f64,
-    cfg: &FlowConfig,
-    downgrades: Vec<Downgrade>,
-    mut stage: StageTimings,
-) -> Result<FlowReport, FlowError> {
-    netlist
-        .validate()
-        .map_err(|e| FlowError::new(name, FlowStage::Pack, FlowErrorKind::Netlist(e)))?;
-    let mut base = netlist.with_zeroed_bram_init();
-    base.name = class.label();
-    let base_bytes = cache::encode_netlist(&base);
-    let packed = pack(&netlist);
-    let mut implemented: Option<Implemented> = None;
-    let mut last_err = None;
-    let mut base_hit = false;
-    for &device in &device_ladder(cfg) {
-        let bkey = cache::overlay_base_key(&base_bytes, &device, cfg.place_opts(), cfg.route);
-        let t = Instant::now();
-        let (ovl_base, hit) = match cache::load_overlay_base(&bkey) {
-            Some(b) => {
-                stage.place_ms += ms_since(t);
-                (b, true)
-            }
-            None => {
-                let base_packed = pack(&base);
-                let placement = match place(&base, &base_packed, device, cfg.place_opts()) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        stage.place_ms += ms_since(t);
-                        last_err = Some(FlowError::new(
-                            name,
-                            FlowStage::Place,
-                            FlowErrorKind::Place(e),
-                        ));
-                        continue;
-                    }
-                };
-                stage.place_ms += ms_since(t);
-                let t = Instant::now();
-                let routed = match route(&base, &base_packed, &placement, cfg.route) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        stage.route_ms += ms_since(t);
-                        last_err = Some(FlowError::new(
-                            name,
-                            FlowStage::Route,
-                            FlowErrorKind::Route(e),
-                        ));
-                        continue;
-                    }
-                };
-                stage.route_ms += ms_since(t);
-                let b = cache::OverlayBase { placement, routed };
-                cache::store_overlay_base(&bkey, &b);
-                (b, false)
-            }
-        };
-        base_hit = hit;
-        implemented = Some(Implemented {
-            device,
-            coord_digest: cache::coords_digest(
-                &ovl_base.placement.clb_loc,
-                &ovl_base.placement.bram_loc,
-                &ovl_base.placement.iob_loc,
-            ),
-            place_fmax_est_mhz: place_fmax_estimate(
-                &netlist,
-                &packed,
-                &ovl_base.placement,
-                &cfg.delay,
-            ),
-            packed: packed.clone(),
-            place_budget: ovl_base.placement.budget,
-            routed: ovl_base.routed,
-            eco: None,
+    if device.name != cfg.device.name {
+        downgrades.push(Downgrade::DeviceUpsized {
+            from: cfg.device.name,
+            to: device.name,
         });
-        break;
     }
-    let Some(imp) = implemented else {
-        return Err(last_err.unwrap_or_else(|| no_device_fits(name)));
-    };
-    let overlay = OverlayReport {
-        base_cache_hit: base_hit,
-        class: class.label(),
-        addr_bits: class.addr_bits(),
-        state_bits: class.state_bits,
-        data_bits: class.data_width(),
-        banks: class.banks,
-    };
-    finish_report(
-        name,
-        &netlist,
-        ImplKind::EmbOverlay,
-        None,
-        vectors,
-        idle,
-        cfg,
+    if let fpga_fabric::place::BudgetOutcome::Exhausted { spent } = placement.budget {
+        downgrades.push(Downgrade::PlaceBudgetExhausted { spent });
+    }
+    let timing = analyze(&netlist, &routed, &cfg.delay);
+
+    // Activity recording runs on the bit-parallel kernel in single-lane
+    // mode: the stimulus is one sequential stream, so only one lane
+    // carries it, but toggle counting still goes through the word-wide
+    // XOR/popcount path and is bit-identical to the scalar engine.
+    let (vectors, idle) = oracle_vectors(stg, stimulus, cfg);
+    let mut sim = BatchSimulator::new(&netlist)
+        .map_err(|e| FlowError::new(name, FlowStage::Simulate, FlowErrorKind::Netlist(e)))?;
+    sim.run_sequential(&vectors);
+    let activity = sim.activity();
+    let power: Vec<PowerReport> = cfg
+        .freqs_mhz
+        .iter()
+        .map(|&f| {
+            estimate(&netlist, &routed, activity, f, &cfg.power)
+                .map_err(|e| FlowError::new(name, FlowStage::Simulate, FlowErrorKind::Power(e)))
+        })
+        .collect::<Result<_, _>>()?;
+
+    Ok(FlowReport {
+        name: name.to_string(),
+        kind,
+        area: packed.area(&netlist),
+        power,
+        timing,
+        idle_fraction: idle,
+        clock_control,
+        total_wirelength: routed.total_wirelength,
+        device,
         downgrades,
-        imp,
-        stage,
-        Some(overlay),
-    )
+        cache: cache::CacheStats::default(),
+        coord_digest: cache::coords_digest(
+            &placement.clb_loc,
+            &placement.bram_loc,
+            &placement.iob_loc,
+        ),
+        place_fmax_est_mhz: place_fmax_estimate(&netlist, &packed, &placement, &cfg.delay),
+        eco,
+        stage_ms: stage,
+        overlay: class.map(|class| OverlayReport {
+            base_cache_hit: base_hit,
+            class: class.label(),
+            addr_bits: class.addr_bits(),
+            state_bits: class.state_bits,
+            data_bits: class.data_width(),
+            banks: class.banks,
+        }),
+    })
 }
 
 /// The devices a flow may implement on: the configured device, then —
@@ -1544,91 +1337,6 @@ fn no_device_fits(name: &str) -> FlowError {
             have: 0,
         }),
     )
-}
-
-/// The shared tail of every physical flow: records the device-upsize and
-/// place-budget downgrades, analyzes timing, simulates the stimulus for
-/// switching activity, estimates power, and assembles the report.
-#[allow(clippy::too_many_arguments)]
-fn finish_report(
-    name: &str,
-    netlist: &Netlist,
-    kind: ImplKind,
-    clock_control: Option<ClockControlStats>,
-    vectors: &[Vec<bool>],
-    idle: f64,
-    cfg: &FlowConfig,
-    mut downgrades: Vec<Downgrade>,
-    imp: Implemented,
-    stage: StageTimings,
-    overlay: Option<OverlayReport>,
-) -> Result<FlowReport, FlowError> {
-    let Implemented {
-        device,
-        packed,
-        place_budget,
-        routed,
-        coord_digest,
-        place_fmax_est_mhz,
-        eco,
-    } = imp;
-    if device.name != cfg.device.name {
-        downgrades.push(Downgrade::DeviceUpsized {
-            from: cfg.device.name,
-            to: device.name,
-        });
-    }
-    if let fpga_fabric::place::BudgetOutcome::Exhausted { spent } = place_budget {
-        downgrades.push(Downgrade::PlaceBudgetExhausted { spent });
-    }
-    let timing = analyze(netlist, &routed, &cfg.delay);
-
-    // Activity recording runs on the bit-parallel kernel in single-lane
-    // mode: the stimulus is one sequential stream, so only one lane
-    // carries it, but toggle counting still goes through the word-wide
-    // XOR/popcount path and is bit-identical to the scalar engine.
-    let mut sim = BatchSimulator::new(netlist)
-        .map_err(|e| FlowError::new(name, FlowStage::Simulate, FlowErrorKind::Netlist(e)))?;
-    sim.run_sequential(vectors);
-    let activity = sim.activity();
-    let power: Vec<PowerReport> = cfg
-        .freqs_mhz
-        .iter()
-        .map(|&f| {
-            estimate(netlist, &routed, activity, f, &cfg.power)
-                .map_err(|e| FlowError::new(name, FlowStage::Simulate, FlowErrorKind::Power(e)))
-        })
-        .collect::<Result<_, _>>()?;
-
-    Ok(FlowReport {
-        name: name.to_string(),
-        kind,
-        area: packed.area(netlist),
-        power,
-        timing,
-        idle_fraction: idle,
-        clock_control,
-        total_wirelength: routed.total_wirelength,
-        device,
-        downgrades,
-        cache: cache::CacheStats::default(),
-        coord_digest,
-        place_fmax_est_mhz,
-        eco,
-        stage_ms: stage,
-        overlay,
-    })
-}
-
-/// Convenience: the EMB mapping object for reporting (same options the
-/// flow would use).
-///
-/// # Errors
-///
-/// Propagates mapping failures.
-pub fn mapping_for(stg: &Stg, emb_opts: &EmbOptions) -> Result<EmbFsm, FlowError> {
-    map_fsm_into_embs(stg, emb_opts)
-        .map_err(|e| FlowError::new(stg.name(), FlowStage::Map, FlowErrorKind::Map(e)))
 }
 
 #[cfg(test)]
@@ -1702,7 +1410,10 @@ mod tests {
         let stim = Stimulus::IdleBiased(0.5);
         let emb = emb_flow(&stg, &EmbOptions::default(), &stim, &cfg).unwrap();
         let cc = emb_clock_controlled_flow(&stg, &EmbOptions::default(), &stim, &cfg).unwrap();
-        let eco = cc.eco.as_ref().expect("ECO path must engage on a fitting design");
+        let eco = cc
+            .eco
+            .as_ref()
+            .expect("ECO path must engage on a fitting design");
         assert_eq!(
             eco.base_coord_digest, emb.coord_digest,
             "pinned base coordinates must be byte-identical to the plain placement"
@@ -1721,7 +1432,8 @@ mod tests {
             eco_place: false,
             ..quick_cfg()
         };
-        let full = emb_clock_controlled_flow(&stg, &EmbOptions::default(), &stim, &cfg_off).unwrap();
+        let full =
+            emb_clock_controlled_flow(&stg, &EmbOptions::default(), &stim, &cfg_off).unwrap();
         assert!(full.eco.is_none());
     }
 
@@ -1784,9 +1496,12 @@ mod tests {
             };
             fsm_model::generate::generate(&spec).unwrap()
         };
-        let cfg = quick_cfg();
-        let a = emb_overlay_flow(&mk(3), &Stimulus::Random, &cfg).unwrap();
-        let b = emb_overlay_flow(&mk(8), &Stimulus::Random, &cfg).unwrap();
+        let cfg = FlowConfig {
+            backend: MapBackend::Overlay,
+            ..quick_cfg()
+        };
+        let a = emb_flow(&mk(3), &EmbOptions::default(), &Stimulus::Random, &cfg).unwrap();
+        let b = emb_flow(&mk(8), &EmbOptions::default(), &Stimulus::Random, &cfg).unwrap();
         assert_eq!(a.kind, ImplKind::EmbOverlay);
         let oa = a.overlay.as_ref().expect("overlay evidence");
         let ob = b.overlay.as_ref().expect("overlay evidence");

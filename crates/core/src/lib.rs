@@ -19,8 +19,6 @@
 //!   strings;
 //! * [`clock_control`] — idle detection and enable synthesis (Sec. 6);
 //! * [`baseline`] — the FF + LUT reference implementation (Fig. 1a);
-//! * [`blif_flow`] — implement externally synthesized BLIF netlists
-//!   (real SIS output) through the same physical flow;
 //! * [`verify`] — lockstep equivalence against the STG oracle;
 //! * [`stimulus`] — idle-biased input streams (Table 3's 50%-idle case);
 //! * [`eco`] — content rewrites without re-place-and-route;
@@ -54,7 +52,6 @@
 #![warn(clippy::all)]
 
 pub mod baseline;
-pub mod blif_flow;
 pub mod cache;
 pub mod clock_control;
 pub mod compaction;
@@ -72,7 +69,7 @@ pub mod vhdl;
 
 pub use clock_control::{attach_emb_clock_control, synthesize_enable, ClockControl};
 pub use flow::{
-    emb_clock_controlled_flow, emb_flow, emb_overlay_flow, ff_clock_gated_flow, ff_flow,
-    FlowConfig, FlowReport, ImplKind, MapBackend, StageTimings, Stimulus,
+    emb_clock_controlled_flow, emb_flow, ff_clock_gated_flow, ff_flow, FlowConfig, FlowReport,
+    ImplKind, MapBackend, StageTimings, Stimulus,
 };
 pub use map::{map_fsm_into_embs, EmbFsm, EmbOptions, MapFsmError, OutputMode};

@@ -11,7 +11,7 @@
 //! them to the direct flow with a recorded `overlay-capacity`
 //! downgrade.
 
-use romfsm::emb::flow::{emb_flow, emb_overlay_flow, FlowConfig, MapBackend, Stimulus};
+use romfsm::emb::flow::{emb_flow, FlowConfig, MapBackend, Stimulus};
 use romfsm::emb::map::EmbOptions;
 use romfsm::emb::overlay::{overlay_fsm, OverlayError};
 use romfsm::emb::verify::{verify_rewrite, OutputTiming};
@@ -98,7 +98,11 @@ fn over_capacity_machines_take_the_typed_reject_path() {
         ..FlowConfig::default()
     };
 
-    let err = emb_overlay_flow(&stg, &Stimulus::Random, &cfg)
+    let ovl_cfg = FlowConfig {
+        backend: MapBackend::Overlay,
+        ..cfg.clone()
+    };
+    let err = emb_flow(&stg, &EmbOptions::default(), &Stimulus::Random, &ovl_cfg)
         .expect_err("a 14-input machine cannot fit a 16-line overlay base");
     assert!(
         err.is_capacity(),
@@ -135,10 +139,12 @@ fn recompiling_a_class_reuses_the_stored_base() {
         exhaustive_verify_max_inputs: 6,
         cycles: 300,
         verify_cycles: 200,
+        backend: MapBackend::Overlay,
         ..FlowConfig::default()
     };
-    let first = emb_overlay_flow(&stg, &Stimulus::Random, &cfg).expect("overlay flow");
-    let second = emb_overlay_flow(&stg, &Stimulus::Random, &cfg).expect("overlay flow again");
+    let emb_opts = EmbOptions::default();
+    let first = emb_flow(&stg, &emb_opts, &Stimulus::Random, &cfg).expect("overlay flow");
+    let second = emb_flow(&stg, &emb_opts, &Stimulus::Random, &cfg).expect("overlay flow again");
     let ovl = second.overlay.as_ref().expect("overlay evidence");
     assert!(ovl.base_cache_hit, "second compile must hit the base cache");
     assert_eq!(
