@@ -12,7 +12,11 @@
 //! * each benchmark's clock-controlled netlist placed incrementally over
 //!   that base with `PinnedEntities::pin_base`, under both weights (this
 //!   pins ECO coordinates across code versions);
-//! * the FF-baseline netlists of prep4, dk16 and donfile, both weights.
+//! * the FF-baseline netlists of prep4, dk16 and donfile, both weights;
+//! * the larger FF-baseline netlists of keyb (464 LUTs) and sand (919
+//!   LUTs, nets of up to 39 pins), both weights. These are the designs
+//!   whose high-fanout nets exercise the placer's incremental
+//!   bounding-box bookkeeping.
 //!
 //! Each case records `cache::coords_digest` of the placement plus
 //! `hpwl`, `hpwl_sq`, `moves` and `budget`. The expected lines were
@@ -161,6 +165,15 @@ fn ff_placements_match_the_golden() {
     check(&got, FF_GOLDEN);
 }
 
+#[test]
+fn large_ff_placements_match_the_golden() {
+    let mut got = Vec::new();
+    for name in ["keyb", "sand"] {
+        ff_lines(name, &mut got);
+    }
+    check(&got, LARGE_FF_GOLDEN);
+}
+
 const EMB_GOLDEN: &[&str] = &[
     "emb/prep4/w0 XC2V250 6d740d6792550b6c343abf62e94ef1ff hpwl=78 hpwl_sq=270 moves=20088 budget=Completed",
     "eco/prep4/w0 XC2V250 49f6910f4f61cbeefe76d6257f3fc4fd hpwl=82 hpwl_sq=280 moves=608 budget=Completed pinned=20 delta=1 delta_hpwl=28",
@@ -207,4 +220,11 @@ const FF_GOLDEN: &[&str] = &[
     "ff/dk16/w0.5 XC2V250 525df86d18e6f9ee0e28cd46afa48cfd hpwl=234 hpwl_sq=828 moves=21780 budget=Completed",
     "ff/donfile/w0 XC2V250 fb538d253df496db53e20b32c593a488 hpwl=165 hpwl_sq=541 moves=6534 budget=Completed",
     "ff/donfile/w0.5 XC2V250 f77f0f512e0c7d3a44861e853888ff29 hpwl=159 hpwl_sq=471 moves=14067 budget=Completed",
+];
+
+const LARGE_FF_GOLDEN: &[&str] = &[
+    "ff/keyb/w0 XC2V250 47330bad8175f7d35f404934f7b38e80 hpwl=1754 hpwl_sq=12688 moves=61765 budget=Completed",
+    "ff/keyb/w0.5 XC2V250 c7809f569d8a41914ce5497f8026bec2 hpwl=1806 hpwl_sq=13208 moves=130372 budget=Completed",
+    "ff/sand/w0 XC2V250 d0c7841511e496bf09abad0eb05224ac hpwl=5147 hpwl_sq=54763 moves=89668 budget=Completed",
+    "ff/sand/w0.5 XC2V250 aefbce6ed16f45a73e9c13ba100f4bb4 hpwl=5040 hpwl_sq=52810 moves=212148 budget=Completed",
 ];
