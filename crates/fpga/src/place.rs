@@ -24,7 +24,6 @@ use crate::netlist::{NetId, Netlist};
 use crate::pack::{EntityId, PackedDesign};
 use crate::sta::TimingKernel;
 use crate::timing::DelayModel;
-use std::collections::HashMap;
 use std::fmt;
 use xrand::SmallRng;
 
@@ -217,14 +216,6 @@ type Mask = [Vec<bool>; 3];
 /// Entity-kind names, indexed like [`Locs`], as the errors report them.
 const KINDS: [&str; 3] = ["CLBs", "BRAMs", "IOBs"];
 
-fn entity(kind: usize, idx: usize) -> EntityId {
-    match kind {
-        0 => EntityId::Clb(idx),
-        1 => EntityId::Bram(idx),
-        _ => EntityId::Iob(idx),
-    }
-}
-
 fn kind_of(e: EntityId) -> (usize, usize) {
     match e {
         EntityId::Clb(i) => (0, i),
@@ -267,8 +258,10 @@ fn free_sites(locs: &Locs, sites: &Locs) -> Locs {
 /// Cached bounding box of one net's pins, plus the HPWL derived from it.
 /// The anneal keeps one `NetBox` per active net so the cost of a layout
 /// *before* a move is a table lookup instead of a rescan of every pin;
-/// only the *after* side of a proposal recomputes boxes (a move can shrink
-/// a box, so the moved pin must be rescanned against its net anyway).
+/// the *after* side grows the cached box by the moved pin's new site, and
+/// rescans only when the pin left the box's edge (a move can shrink a box
+/// only then). The quench also keeps, per movable pin, the box of its net
+/// *without* that pin, so any candidate site costs one [`NetBox::grown`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct NetBox {
     min_x: usize,
@@ -290,21 +283,7 @@ impl NetBox {
         hpwl: 0.0,
     };
 
-    fn compute(pins: &[EntityId], loc: &dyn Fn(EntityId) -> (usize, usize)) -> NetBox {
-        if pins.len() < 2 {
-            return NetBox::EMPTY;
-        }
-        let mut min_x = usize::MAX;
-        let mut max_x = 0;
-        let mut min_y = usize::MAX;
-        let mut max_y = 0;
-        for &p in pins {
-            let (x, y) = loc(p);
-            min_x = min_x.min(x);
-            max_x = max_x.max(x);
-            min_y = min_y.min(y);
-            max_y = max_y.max(y);
-        }
+    fn new(min_x: usize, max_x: usize, min_y: usize, max_y: usize) -> NetBox {
         NetBox {
             min_x,
             max_x,
@@ -313,35 +292,185 @@ impl NetBox {
             hpwl: ((max_x - min_x) + (max_y - min_y)) as f64,
         }
     }
+
+    /// The box of at least one point.
+    fn bound(points: impl Iterator<Item = (usize, usize)>) -> NetBox {
+        let mut min_x = usize::MAX;
+        let mut max_x = 0;
+        let mut min_y = usize::MAX;
+        let mut max_y = 0;
+        for (x, y) in points {
+            min_x = min_x.min(x);
+            max_x = max_x.max(x);
+            min_y = min_y.min(y);
+            max_y = max_y.max(y);
+        }
+        NetBox::new(min_x, max_x, min_y, max_y)
+    }
+
+    fn compute(pins: &[EntityId], loc: &dyn Fn(EntityId) -> (usize, usize)) -> NetBox {
+        if pins.len() < 2 {
+            return NetBox::EMPTY;
+        }
+        NetBox::bound(pins.iter().map(|&p| loc(p)))
+    }
+
+    /// This box stretched to cover `(x, y)`.
+    fn grown(&self, (x, y): (usize, usize)) -> NetBox {
+        NetBox::new(
+            self.min_x.min(x),
+            self.max_x.max(x),
+            self.min_y.min(y),
+            self.max_y.max(y),
+        )
+    }
+
+    /// Whether `(x, y)` lies on an edge of this box: only a pin there can
+    /// shrink the box by leaving.
+    fn on_edge(&self, (x, y): (usize, usize)) -> bool {
+        x == self.min_x || x == self.max_x || y == self.min_y || y == self.max_y
+    }
 }
 
 pub(crate) fn hpwl_of_net(pins: &[EntityId], loc: &dyn Fn(EntityId) -> (usize, usize)) -> f64 {
     NetBox::compute(pins, loc).hpwl
 }
 
+/// The two smallest and two largest values of one axis over a net's
+/// pins, so the box of the net without any one pin is read off without a
+/// rescan: leaving out the holder of an extreme falls back to the
+/// runner-up (which equals the extreme when two pins share it).
+#[derive(Debug, Clone, Copy)]
+struct Extremes {
+    lo: (usize, usize),
+    hi: (usize, usize),
+}
+
+impl Extremes {
+    const NONE: Extremes = Extremes {
+        lo: (usize::MAX, usize::MAX),
+        hi: (0, 0),
+    };
+
+    fn push(&mut self, v: usize) {
+        if v < self.lo.0 {
+            self.lo = (v, self.lo.0);
+        } else if v < self.lo.1 {
+            self.lo.1 = v;
+        }
+        if v > self.hi.0 {
+            self.hi = (v, self.hi.0);
+        } else if v > self.hi.1 {
+            self.hi.1 = v;
+        }
+    }
+
+    /// `(min, max)` over the pushed values with one `v` left out.
+    fn without(&self, v: usize) -> (usize, usize) {
+        (
+            if v == self.lo.0 { self.lo.1 } else { self.lo.0 },
+            if v == self.hi.0 { self.hi.1 } else { self.hi.0 },
+        )
+    }
+}
+
+/// One active net of an entity, with the slot of the entity's pin on it:
+/// an index into the placer's flat per-pin tables (see
+/// [`NetModel::pin_base`]).
+#[derive(Debug, Clone, Copy)]
+struct NetPin {
+    net: NetId,
+    slot: usize,
+}
+
+/// Which of a move's entities has a pin on an affected net: the mover
+/// (which goes `from → to`), its swap partner (`to → from`), or both (a
+/// swap then leaves the net's box as it was).
+#[derive(Debug, Clone, Copy)]
+enum Touch {
+    Mover,
+    Partner,
+    Both,
+}
+
+/// The nets a move can change, ascending, each with its [`Touch`]. One
+/// buffer is refilled for every proposal.
+#[derive(Debug, Default)]
+struct Affected {
+    nets: Vec<NetId>,
+    touch: Vec<Touch>,
+}
+
+/// The union of two ascending net lists, ascending: each net once, with
+/// the pin slot of each list that has it.
+fn merged<'a>(
+    a: &'a [NetPin],
+    b: &'a [NetPin],
+) -> impl Iterator<Item = (NetId, Option<usize>, Option<usize>)> + 'a {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || match (a.get(i), b.get(j)) {
+        (Some(x), Some(y)) if x.net == y.net => {
+            i += 1;
+            j += 1;
+            Some((x.net, Some(x.slot), Some(y.slot)))
+        }
+        (Some(x), Some(y)) if x.net < y.net => {
+            i += 1;
+            Some((x.net, Some(x.slot), None))
+        }
+        (Some(x), None) => {
+            i += 1;
+            Some((x.net, Some(x.slot), None))
+        }
+        (_, Some(y)) => {
+            j += 1;
+            Some((y.net, None, Some(y.slot)))
+        }
+        (None, None) => None,
+    })
+}
+
 /// The placer's view of the netlist: pins per net, the nets worth costing
 /// (≥ 2 pins), and the active nets touching each entity.
 struct NetModel {
     pins: Vec<Vec<EntityId>>,
+    /// Net `n`'s pins own the slots `pin_base[n]..pin_base[n + 1]`, in
+    /// `pins[n]` order; the last entry is the slot count.
+    pin_base: Vec<usize>,
     active: Vec<NetId>,
-    of_entity: HashMap<EntityId, Vec<NetId>>,
+    /// Per kind and entity (indexed like [`Locs`]): its active nets,
+    /// ascending.
+    of_entity: [Vec<Vec<NetPin>>; 3],
 }
 
 impl NetModel {
     fn new(netlist: &Netlist, packed: &PackedDesign) -> NetModel {
         let pins = build_net_pins(netlist, packed);
+        let mut pin_base = Vec::with_capacity(pins.len() + 1);
+        let mut slots = 0;
+        for p in &pins {
+            pin_base.push(slots);
+            slots += p.len();
+        }
+        pin_base.push(slots);
         let active: Vec<NetId> = (0..netlist.num_nets())
             .map(|i| NetId(i as u32))
             .filter(|n| pins[n.index()].len() >= 2)
             .collect();
-        let mut of_entity: HashMap<EntityId, Vec<NetId>> = HashMap::new();
+        let counts = [packed.clbs.len(), packed.brams.len(), packed.iobs.len()];
+        let mut of_entity = counts.map(|n| vec![Vec::new(); n]);
         for &net in &active {
-            for &e in &pins[net.index()] {
-                of_entity.entry(e).or_default().push(net);
+            for (i, &e) in pins[net.index()].iter().enumerate() {
+                let (kind, idx) = kind_of(e);
+                of_entity[kind][idx].push(NetPin {
+                    net,
+                    slot: pin_base[net.index()] + i,
+                });
             }
         }
         NetModel {
             pins,
+            pin_base,
             active,
             of_entity,
         }
@@ -371,25 +500,79 @@ impl NetModel {
         boxes
     }
 
-    /// The nets a move of `(kind, idx)`, swapped with sibling `other`,
-    /// can change — sorted and deduplicated when two entities move.
-    fn affected(&self, kind: usize, idx: usize, other: Option<usize>) -> Vec<NetId> {
-        let mut v = self
-            .of_entity
-            .get(&entity(kind, idx))
-            .cloned()
-            .unwrap_or_default();
-        if let Some(o) = other {
-            v.extend(
-                self.of_entity
-                    .get(&entity(kind, o))
-                    .cloned()
-                    .unwrap_or_default(),
-            );
-            v.sort_unstable_by_key(|n| n.0);
-            v.dedup();
+    /// Fills `out` with the nets a move of `(kind, idx)`, swapped with
+    /// sibling `other`, can change.
+    fn affected(&self, kind: usize, idx: usize, other: Option<usize>, out: &mut Affected) {
+        out.nets.clear();
+        out.touch.clear();
+        let theirs: &[NetPin] = other.map_or(&[], |o| &self.of_entity[kind][o]);
+        for (n, mine, partner) in merged(&self.of_entity[kind][idx], theirs) {
+            out.nets.push(n);
+            out.touch.push(match (mine, partner) {
+                (Some(_), None) => Touch::Mover,
+                (None, Some(_)) => Touch::Partner,
+                _ => Touch::Both,
+            });
         }
-        v
+    }
+
+    /// Net `n`'s box after `mv`, given its box before and which of the
+    /// move's entities it touches; `locs` already holds the move. Grows
+    /// the old box unless the moved pin sat on its edge.
+    fn box_after(&self, n: NetId, touch: Touch, old: NetBox, mv: &Move, locs: &Locs) -> NetBox {
+        let (left, arrived) = match touch {
+            Touch::Both => return old,
+            Touch::Mover => (mv.from, mv.to),
+            Touch::Partner => (mv.to, mv.from),
+        };
+        if old.on_edge(left) {
+            NetBox::compute(&self.pins[n.index()], &|e| at(locs, e))
+        } else {
+            old.grown(arrived)
+        }
+    }
+
+    /// Re-boxes net `n` from `locs` into `boxes` and, for each of its
+    /// movable pins, the box of the net without that pin into `excl`.
+    fn rebox(
+        &self,
+        n: NetId,
+        locs: &Locs,
+        movable: &Mask,
+        boxes: &mut [NetBox],
+        excl: &mut [NetBox],
+    ) {
+        let pins = &self.pins[n.index()];
+        let (mut xs, mut ys) = (Extremes::NONE, Extremes::NONE);
+        for &p in pins {
+            let (x, y) = at(locs, p);
+            xs.push(x);
+            ys.push(y);
+        }
+        boxes[n.index()] = NetBox::new(xs.lo.0, xs.hi.0, ys.lo.0, ys.hi.0);
+        for (i, &p) in pins.iter().enumerate() {
+            let (kind, idx) = kind_of(p);
+            if movable[kind][idx] {
+                let (x, y) = locs[kind][idx];
+                let ((min_x, max_x), (min_y, max_y)) = (xs.without(x), ys.without(y));
+                excl[self.pin_base[n.index()] + i] = NetBox::new(min_x, max_x, min_y, max_y);
+            }
+        }
+    }
+
+    /// Whether the quench's cached boxes and movable pins' excluded boxes
+    /// equal a rescan of `locs` (a debug check).
+    fn boxes_match(&self, locs: &Locs, movable: &Mask, boxes: &[NetBox], excl: &[NetBox]) -> bool {
+        self.active.iter().all(|&n| {
+            let pins = &self.pins[n.index()];
+            boxes[n.index()] == NetBox::compute(pins, &|e| at(locs, e))
+                && pins.iter().enumerate().all(|(i, &p)| {
+                    let (kind, idx) = kind_of(p);
+                    !movable[kind][idx]
+                        || excl[self.pin_base[n.index()] + i]
+                            == NetBox::bound(pins.iter().filter(|&&q| q != p).map(|&q| at(locs, q)))
+                })
+        })
     }
 }
 
@@ -405,6 +588,13 @@ impl NetModel {
 /// and every `retime_interval`-th refresh is backed by a from-scratch
 /// recompute that must be bit-identical to the incremental state (the
 /// committed drift bound, debug-asserted).
+///
+/// Accepted moves do not touch the kernel. Nothing reads it between
+/// refreshes, and a flushed kernel is a pure function of its wire delays
+/// (every arrival and downstream delay equals its formula over the
+/// current inputs, which on a DAG has one solution), so the refresh that
+/// syncs every active net's delay leaves exactly the state that
+/// per-move updates would have.
 struct TimingCtx {
     kernel: TimingKernel,
     w: f64,
@@ -412,11 +602,7 @@ struct TimingCtx {
     retime_interval: u32,
     net_base: f64,
     per_hop: f64,
-    /// Raw criticality per net as of the last refresh; the skip-re-time
-    /// threshold (flush only when a touched net is ≥ 0.5 critical) reads
-    /// this.
-    crit_raw: Vec<f64>,
-    /// `crit_raw^crit_exp` per net (scratch kept for the normalizer).
+    /// `criticality^crit_exp` per net (scratch kept for the normalizer).
     crit_w: Vec<f64>,
     /// Per-net effective-cost coefficient (see above); `Σ coef·hpwl` over
     /// active nets is the cost the walk optimizes.
@@ -438,7 +624,6 @@ impl TimingCtx {
             retime_interval: opts.retime_interval,
             net_base: opts.delay.net_base,
             per_hop: opts.delay.net_per_hop,
-            crit_raw: vec![0.0; n],
             crit_w: vec![0.0; n],
             coef: vec![1.0; n],
             t_scale: 0.0,
@@ -468,9 +653,7 @@ impl TimingCtx {
         let mut t_anchor = 0.0;
         for &n in active_nets {
             let i = n.index();
-            let raw = self.kernel.criticality(n);
-            let c = raw.powf(self.crit_exp);
-            self.crit_raw[i] = raw;
+            let c = self.kernel.criticality(n).powf(self.crit_exp);
             self.crit_w[i] = c;
             wl_anchor += net_box[i].hpwl;
             t_anchor += c * self.per_hop * net_box[i].hpwl;
@@ -483,24 +666,6 @@ impl TimingCtx {
         for &n in active_nets {
             let i = n.index();
             self.coef[i] = (1.0 - self.w) + self.w * self.t_scale * self.per_hop * self.crit_w[i];
-        }
-    }
-
-    /// Marks the kernel's wire delays of `nets` dirty from the (already
-    /// updated) boxes, and flushes immediately only when one of them was
-    /// near-critical at the last refresh — moves touching only
-    /// non-critical nets skip the re-time entirely (the deferred dirt is
-    /// absorbed by the next [`Self::refresh`]).
-    fn note_moved(&mut self, nets: &[NetId], net_box: &[NetBox]) {
-        let mut hot = false;
-        for &n in nets {
-            let i = n.index();
-            self.kernel
-                .set_wire_delay(n, self.net_base + self.per_hop * net_box[i].hpwl);
-            hot |= self.crit_raw[i] >= 0.5;
-        }
-        if hot {
-            self.kernel.flush();
         }
     }
 
@@ -662,50 +827,173 @@ impl Move {
     }
 }
 
-/// Proposes a random move: a movable entity (uniform over `movers`) goes
-/// to a free site of its kind or swaps with a movable sibling, in either
-/// case within Chebyshev radius `r` of its site. `None` when the window
-/// holds neither. With every entity movable, `movers` lists CLBs, then
-/// BRAMs, then IOBs, so the pick is population-weighted across kinds.
-fn propose(
-    rng: &mut SmallRng,
-    movers: &[(usize, usize)],
-    locs: &Locs,
-    free: &Locs,
-    movable: &Mask,
-    r: f64,
-) -> Option<Move> {
-    let in_window = |a: (usize, usize), b: (usize, usize)| -> bool {
-        (a.0.abs_diff(b.0).max(a.1.abs_diff(b.1)) as f64) <= r
-    };
-    let (kind, idx) = movers[rng.random_range(0..movers.len())];
-    let from = locs[kind][idx];
-    let free_cands: Vec<usize> = free[kind]
-        .iter()
-        .enumerate()
-        .filter(|&(_, &s)| in_window(from, s))
-        .map(|(f, _)| f)
-        .collect();
-    let swap_cands: Vec<usize> = (0..locs[kind].len())
-        .filter(|&o| o != idx && movable[kind][o] && in_window(from, locs[kind][o]))
-        .collect();
-    let use_free = !free_cands.is_empty() && (swap_cands.is_empty() || rng.random_bool(0.5));
-    let (other, to) = if use_free {
-        let f = free_cands[rng.random_range(0..free_cands.len())];
-        (None, free[kind][f])
-    } else if !swap_cands.is_empty() {
-        let o = swap_cands[rng.random_range(0..swap_cands.len())];
-        (Some(o), locs[kind][o])
-    } else {
-        return None;
-    };
-    Some(Move {
-        kind,
-        idx,
-        other,
-        from,
-        to,
-    })
+/// What holds one grid coordinate, for one entity kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Holder {
+    /// Not a site of this kind.
+    NoSite,
+    /// A free site, at this index of the kind's free pool.
+    Free(usize),
+    /// The site of this entity.
+    Entity(usize),
+}
+
+/// One entity kind's sites on a dense grid: who holds each. Lets
+/// [`Pools::propose`] list a small window's candidates without scanning
+/// the whole free pool and every sibling, and an accepted move find the
+/// vacated site's pool index without a search.
+#[derive(Debug, Clone)]
+struct Occupancy {
+    height: usize,
+    cells: Vec<Holder>,
+}
+
+impl Occupancy {
+    fn new(sites: &[(usize, usize)], locs: &[(usize, usize)], free: &[(usize, usize)]) -> Self {
+        let width = sites.iter().map(|s| s.0 + 1).max().unwrap_or(0);
+        let height = sites.iter().map(|s| s.1 + 1).max().unwrap_or(0);
+        let mut occ = Occupancy {
+            height,
+            cells: vec![Holder::NoSite; width * height],
+        };
+        for (f, &s) in free.iter().enumerate() {
+            occ.set(s, Holder::Free(f));
+        }
+        for (i, &s) in locs.iter().enumerate() {
+            occ.set(s, Holder::Entity(i));
+        }
+        occ
+    }
+
+    fn width(&self) -> usize {
+        self.cells.len() / self.height.max(1)
+    }
+
+    fn get(&self, (x, y): (usize, usize)) -> Holder {
+        self.cells[x * self.height + y]
+    }
+
+    fn set(&mut self, (x, y): (usize, usize), h: Holder) {
+        self.cells[x * self.height + y] = h;
+    }
+}
+
+/// The anneal's free-site pools (per kind, in the order moves leave them)
+/// with their occupancy grids, and the candidate buffers `propose`
+/// refills on every call.
+struct Pools {
+    free: Locs,
+    occupancy: [Occupancy; 3],
+    free_cands: Vec<usize>,
+    swap_cands: Vec<usize>,
+}
+
+impl Pools {
+    fn new(locs: &Locs, sites: &Locs) -> Pools {
+        let free = free_sites(locs, sites);
+        let occupancy = std::array::from_fn(|k| Occupancy::new(&sites[k], &locs[k], &free[k]));
+        Pools {
+            free,
+            occupancy,
+            free_cands: Vec::new(),
+            swap_cands: Vec::new(),
+        }
+    }
+
+    /// Proposes a random move: a movable entity (uniform over `movers`)
+    /// goes to a free site of its kind or swaps with a movable sibling, in
+    /// either case within Chebyshev radius `r` of its site. `None` when the
+    /// window holds neither. With every entity movable, `movers` lists
+    /// CLBs, then BRAMs, then IOBs, so the pick is population-weighted
+    /// across kinds.
+    ///
+    /// Free sites are drawn in pool order and partners in entity-index
+    /// order. A window smaller than the pool plus the kind's entities is
+    /// read off the occupancy grid and sorted into that order; a larger
+    /// one is scanned from the lists. Both give the same candidates, so
+    /// the RNG draws and the move do not depend on the path.
+    fn propose(
+        &mut self,
+        rng: &mut SmallRng,
+        movers: &[(usize, usize)],
+        locs: &Locs,
+        movable: &Mask,
+        r: f64,
+    ) -> Option<Move> {
+        let (kind, idx) = movers[rng.random_range(0..movers.len())];
+        let from = locs[kind][idx];
+        // Distances are integers, so `d <= r` is `d <= floor(r)`.
+        let reach = r as usize;
+        let in_window = |s: (usize, usize)| s.0.abs_diff(from.0).max(s.1.abs_diff(from.1)) <= reach;
+        let pool = &self.free[kind];
+        let occ = &self.occupancy[kind];
+        let xs = from.0.saturating_sub(reach)..=from.0.saturating_add(reach).min(occ.width() - 1);
+        let ys = from.1.saturating_sub(reach)..=from.1.saturating_add(reach).min(occ.height - 1);
+        self.free_cands.clear();
+        self.swap_cands.clear();
+        if xs.clone().count() * ys.clone().count() <= pool.len() + locs[kind].len() {
+            for x in xs {
+                for y in ys.clone() {
+                    match occ.get((x, y)) {
+                        Holder::Free(f) => self.free_cands.push(f),
+                        Holder::Entity(o) if o != idx && movable[kind][o] => {
+                            self.swap_cands.push(o);
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            self.free_cands.sort_unstable();
+            self.swap_cands.sort_unstable();
+        } else {
+            self.free_cands
+                .extend((0..pool.len()).filter(|&f| in_window(pool[f])));
+            self.swap_cands.extend(
+                (0..locs[kind].len())
+                    .filter(|&o| o != idx && movable[kind][o] && in_window(locs[kind][o])),
+            );
+        }
+        let (free_cands, swap_cands) = (&self.free_cands, &self.swap_cands);
+        let use_free = !free_cands.is_empty() && (swap_cands.is_empty() || rng.random_bool(0.5));
+        let (other, to) = if use_free {
+            let f = free_cands[rng.random_range(0..free_cands.len())];
+            (None, pool[f])
+        } else if !swap_cands.is_empty() {
+            let o = swap_cands[rng.random_range(0..swap_cands.len())];
+            (Some(o), locs[kind][o])
+        } else {
+            return None;
+        };
+        Some(Move {
+            kind,
+            idx,
+            other,
+            from,
+            to,
+        })
+    }
+
+    /// Records an accepted move: a free move takes its target out of the
+    /// pool (the pool's last site fills the gap) and appends the vacated
+    /// site.
+    fn commit(&mut self, mv: &Move) {
+        let occ = &mut self.occupancy[mv.kind];
+        match mv.other {
+            None => {
+                if let Holder::Free(pos) = occ.get(mv.to) {
+                    let pool = &mut self.free[mv.kind];
+                    pool.swap_remove(pos);
+                    if let Some(&filled) = pool.get(pos) {
+                        occ.set(filled, Holder::Free(pos));
+                    }
+                    pool.push(mv.from);
+                    occ.set(mv.from, Holder::Free(pool.len() - 1));
+                }
+            }
+            Some(o) => occ.set(mv.from, Holder::Entity(o)),
+        }
+        occ.set(mv.to, Holder::Entity(mv.idx));
+    }
 }
 
 /// Deterministic greedy descent over the full single-move neighborhood
@@ -730,6 +1018,16 @@ fn propose(
 /// When `timing` is given, the linear term is the frozen effective cost
 /// `Σ coef·hpwl` instead of raw HPWL, so the descent pulls critical nets
 /// in harder than don't-care ones; `None` is the wirelength-only descent.
+///
+/// Scoring is incremental and exact (after VPR's bounding-box update,
+/// Betz & Rose 1997). The "before" side reads one cached box per net.
+/// Each movable pin also keeps the box of its net without that pin, so a
+/// free-site candidate costs one [`NetBox::grown`] per net. A swap is
+/// scored in one merge of the two entities' ascending net lists; a net
+/// both entities touch keeps its box. Only the nets an accepted move
+/// touches are re-boxed. Every per-net HPWL is the integer a rescan gives
+/// and is summed in the same net order, so every delta, every `beats`
+/// verdict and the resulting layout equal the rescan's.
 fn quench(
     nets: &NetModel,
     sites: &Locs,
@@ -744,28 +1042,46 @@ fn quench(
     let beats = |cand: (f64, f64), incumbent: (f64, f64)| -> bool {
         cand.0 < incumbent.0 - 1e-9 || (cand.0 < incumbent.0 + 1e-9 && cand.1 < incumbent.1 - 1e-9)
     };
+    // The linear term's per-net weight; `1.0 · h` is exactly `h`.
+    let weight = |n: NetId| timing.map_or(1.0, |t| t.coef[n.index()]);
+    let add = |(lin, sq): (f64, f64), w: f64, h: f64| (lin + w * h, sq + h * h);
+    let mut boxes = vec![NetBox::EMPTY; nets.pins.len()];
+    let mut excl = vec![NetBox::EMPTY; nets.pin_base.last().copied().unwrap_or(0)];
+    // With no negative weight the linear sum only grows net by net, so a
+    // free-site candidate whose partial delta already fails `beats` is
+    // dropped unfinished: float addition and subtraction are monotone, so
+    // the verdict is the one the full sum would give.
+    let monotone = timing.is_none_or(|t| nets.active.iter().all(|n| t.coef[n.index()] >= 0.0));
+    for &n in &nets.active {
+        nets.rebox(n, locs, movable, &mut boxes, &mut excl);
+    }
+    // The entity being scored: (weight, box without its pin) per net.
+    let mut mine: Vec<(f64, NetBox)> = Vec::new();
     for _ in 0..16 {
         let mut improved = false;
         for kind in 0..3usize {
             for idx in 0..locs[kind].len() {
-                if !movable[kind][idx] {
+                let my_nets = &nets.of_entity[kind][idx];
+                if !movable[kind][idx] || my_nets.is_empty() {
                     continue;
                 }
-                let Some(my_nets) = nets.of_entity.get(&entity(kind, idx)) else {
-                    continue;
-                };
                 let cur_site = locs[kind][idx];
-                // Candidates are scored by applying them to `locs` and
-                // reverting before the next one; nothing sticks until the
-                // winning move is known.
-                let before = nets.cost_of(my_nets, locs, timing);
+                let before = my_nets.iter().fold((0.0, 0.0), |acc, p| {
+                    add(acc, weight(p.net), boxes[p.net.index()].hpwl)
+                });
+                mine.clear();
+                mine.extend(my_nets.iter().map(|p| (weight(p.net), excl[p.slot])));
                 let mut best_delta = (0.0f64, 0.0f64);
                 // (free-pool index, or swap partner; target site)
                 let mut best_move: Option<(Result<usize, usize>, (usize, usize))> = None;
-                for (f, &site) in free[kind].iter().enumerate() {
-                    locs[kind][idx] = site;
-                    let after = nets.cost_of(my_nets, locs, timing);
-                    locs[kind][idx] = cur_site;
+                'site: for (f, &site) in free[kind].iter().enumerate() {
+                    let mut after = (0.0, 0.0);
+                    for (w, b) in &mine {
+                        after = add(after, *w, b.grown(site).hpwl);
+                        if monotone && after.0 - before.0 >= best_delta.0 + 1e-9 {
+                            continue 'site;
+                        }
+                    }
                     let delta = (after.0 - before.0, after.1 - before.1);
                     if beats(delta, best_delta) {
                         best_delta = delta;
@@ -776,22 +1092,23 @@ fn quench(
                     if o == idx || !movable[kind][o] {
                         continue;
                     }
-                    let swap = Move {
-                        kind,
-                        idx,
-                        other: Some(o),
-                        from: cur_site,
-                        to: locs[kind][o],
-                    };
-                    let both = nets.affected(kind, idx, Some(o));
-                    let b0 = nets.cost_of(&both, locs, timing);
-                    swap.apply(locs);
-                    let a0 = nets.cost_of(&both, locs, timing);
-                    swap.revert(locs);
+                    let to = locs[kind][o];
+                    let (mut b0, mut a0) = ((0.0, 0.0), (0.0, 0.0));
+                    for (n, my_slot, their_slot) in merged(my_nets, &nets.of_entity[kind][o]) {
+                        let h = boxes[n.index()].hpwl;
+                        let h_after = match (my_slot, their_slot) {
+                            (Some(s), None) => excl[s].grown(to).hpwl,
+                            (None, Some(s)) => excl[s].grown(cur_site).hpwl,
+                            _ => h,
+                        };
+                        let w = weight(n);
+                        b0 = add(b0, w, h);
+                        a0 = add(a0, w, h_after);
+                    }
                     let delta = (a0.0 - b0.0, a0.1 - b0.1);
                     if beats(delta, best_delta) {
                         best_delta = delta;
-                        best_move = Some((Err(o), swap.to));
+                        best_move = Some((Err(o), to));
                     }
                 }
                 match best_move {
@@ -803,9 +1120,19 @@ fn quench(
                     Some((Err(o), site)) => {
                         locs[kind][o] = cur_site;
                         locs[kind][idx] = site;
+                        for p in &nets.of_entity[kind][o] {
+                            nets.rebox(p.net, locs, movable, &mut boxes, &mut excl);
+                        }
                     }
                     None => continue,
                 }
+                for p in my_nets {
+                    nets.rebox(p.net, locs, movable, &mut boxes, &mut excl);
+                }
+                debug_assert!(
+                    nets.boxes_match(locs, movable, &boxes, &excl),
+                    "quench box cache diverged from a rescan"
+                );
                 improved = true;
             }
         }
@@ -955,7 +1282,7 @@ fn anneal(
     let seed_cost = nets.cost(&locs).0;
 
     // Timing-driven mode: one incremental STA kernel for the whole anneal
-    // (built here, refreshed per level, delta-updated per accepted move).
+    // (built here, re-timed and re-frozen once per level).
     // `timing_weight = 0` skips all of it and the walk below is
     // byte-identical to the wirelength-only placer.
     let mut timing = if opts.timing_weight > 0.0 {
@@ -979,7 +1306,8 @@ fn anneal(
     let mut rng = SmallRng::seed_from_u64(opts.seed ^ schedule.salt);
     // Free-site pools per type (the quench may have moved entities onto
     // any site, so derive the pools from actual occupancy).
-    let mut free = free_sites(&locs, sites);
+    let mut pools = Pools::new(&locs, sites);
+    let mut affected = Affected::default();
 
     // VPR-style range limiting: moves are confined to a window of radius
     // `rlim` around the entity, and the window shrinks as the acceptance
@@ -1011,13 +1339,13 @@ fn anneal(
         let (per_entity, min, max) = schedule.t0_samples;
         let mut deltas: Vec<f64> = Vec::new();
         for _ in 0..(movers.len() * per_entity).clamp(min, max) {
-            let Some(mv) = propose(&mut rng, &movers, &locs, &free, movable, w0) else {
+            let Some(mv) = pools.propose(&mut rng, &movers, &locs, movable, w0) else {
                 continue;
             };
-            let affected = nets.affected(mv.kind, mv.idx, mv.other);
-            let before = nets.cost_of(&affected, &locs, None).0;
+            nets.affected(mv.kind, mv.idx, mv.other, &mut affected);
+            let before = nets.cost_of(&affected.nets, &locs, None).0;
             mv.apply(&mut locs);
-            let after = nets.cost_of(&affected, &locs, None).0;
+            let after = nets.cost_of(&affected.nets, &locs, None).0;
             mv.revert(&mut locs);
             deltas.push(after - before);
         }
@@ -1094,31 +1422,32 @@ fn anneal(
                     break 'outer;
                 }
                 moves_spent += 1;
-                let Some(mv) = propose(&mut rng, &movers, &locs, &free, movable, rlim) else {
+                let Some(mv) = pools.propose(&mut rng, &movers, &locs, movable, rlim) else {
                     continue;
                 };
                 // Delta cost over affected nets only.
-                let affected = nets.affected(mv.kind, mv.idx, mv.other);
+                nets.affected(mv.kind, mv.idx, mv.other, &mut affected);
                 // Layout-before cost from the bounding-box cache: one
                 // lookup per affected net instead of a rescan of every
                 // pin. Every HPWL is an integer-valued f64 and the fold
                 // order matches a rescan, so the sums are bit-identical;
                 // debug builds recompute the boxes from coordinates and
                 // insist on exact equality.
-                let before: (f64, f64) = affected.iter().fold((0.0, 0.0), |(lin, sq), n| {
+                let before: (f64, f64) = affected.nets.iter().fold((0.0, 0.0), |(lin, sq), n| {
                     let h = net_box[n.index()].hpwl;
                     (lin + h, sq + h * h)
                 });
                 debug_assert!(
-                    affected.iter().all(|n| net_box[n.index()]
+                    affected.nets.iter().all(|n| net_box[n.index()]
                         == NetBox::compute(&nets.pins[n.index()], &|e| at(&locs, e))),
-                    "stale bounding-box cache on nets {affected:?}"
+                    "stale bounding-box cache on nets {:?}",
+                    affected.nets
                 );
                 mv.apply(&mut locs);
-                // Layout-after cost must rescan the affected nets (a move
-                // can shrink a box, so the cache cannot answer it); the
-                // fresh boxes land in a scratch so an accepted move
-                // installs them without a second scan.
+                // Layout-after boxes: the cached box grown by the moved
+                // pin's new site, or a rescan when the pin left the box's
+                // edge (only then can the box shrink). They land in a
+                // scratch so an accepted move installs them as they are.
                 box_scratch.clear();
                 let mut early_reject = false;
                 let mut after = (0.0, 0.0);
@@ -1131,14 +1460,19 @@ fn anneal(
                 // wirelength-only RNG stream.)
                 let early_exit = timing.as_ref().map(|t| {
                     let before_eff: f64 = affected
+                        .nets
                         .iter()
                         .map(|n| t.coef[n.index()] * net_box[n.index()].hpwl)
                         .sum();
                     (t, before_eff + 20.0 * temperature)
                 });
                 let mut eff = 0.0;
-                for n in &affected {
-                    let b = NetBox::compute(&nets.pins[n.index()], &|e| at(&locs, e));
+                for (&n, &touch) in affected.nets.iter().zip(&affected.touch) {
+                    let b = nets.box_after(n, touch, net_box[n.index()], &mv, &locs);
+                    debug_assert!(
+                        b == NetBox::compute(&nets.pins[n.index()], &|e| at(&locs, e)),
+                        "incremental after-box of net {n:?} diverged from a rescan"
+                    );
                     box_scratch.push(b);
                     after = (after.0 + b.hpwl, after.1 + b.hpwl * b.hpwl);
                     if let Some((t, bar)) = early_exit {
@@ -1160,6 +1494,7 @@ fn anneal(
                 // so the `timing_weight = 0` decision stream is untouched.
                 let delta_eff = match timing.as_ref() {
                     Some(t) => affected
+                        .nets
                         .iter()
                         .zip(&box_scratch)
                         .map(|(n, b)| t.coef[n.index()] * (b.hpwl - net_box[n.index()].hpwl))
@@ -1189,12 +1524,11 @@ fn anneal(
                 }
                 accepted += 1;
                 cur_cost += delta;
-                for (&n, &b) in affected.iter().zip(&box_scratch) {
+                for (&n, &b) in affected.nets.iter().zip(&box_scratch) {
                     net_box[n.index()] = b;
                 }
-                if let Some(t) = timing.as_mut() {
+                if timing.is_some() {
                     cur_eff += delta_eff;
-                    t.note_moved(&affected, &net_box);
                     if cur_eff < best_eff {
                         best_eff = cur_eff;
                         best_cost = cur_cost;
@@ -1204,14 +1538,7 @@ fn anneal(
                     best_cost = cur_cost;
                     best = locs.clone();
                 }
-                if mv.other.is_none() {
-                    // The vacated site becomes free.
-                    let pool = &mut free[mv.kind];
-                    if let Some(pos) = pool.iter().position(|s| *s == mv.to) {
-                        pool.swap_remove(pos);
-                        pool.push(mv.from);
-                    }
-                }
+                pools.commit(&mv);
             }
             let success = accepted as f64 / moves_per_t.max(1) as f64;
             temperature *= schedule.cooling(success);
@@ -1256,7 +1583,7 @@ fn anneal(
         // keeps whichever basin floor was deepest.
         locs = best.clone();
         quench(nets, sites, &mut locs, movable, timing.as_ref());
-        free = free_sites(&locs, sites);
+        pools = Pools::new(&locs, sites);
         // The quench moved entities without maintaining the cache.
         net_box = nets.boxes(&locs);
         cur_cost = nets.cost(&locs).0;
@@ -1616,9 +1943,10 @@ pub fn place_incremental(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::Device;
+    use crate::device::{BramShape, Device};
     use crate::netlist::Cell;
     use crate::pack::pack;
+    use xrand::proptest_lite::run_cases;
 
     /// Chain of LUT+FF stages; plenty of connectivity for the annealer.
     fn chain(n_stages: usize) -> Netlist {
@@ -1915,5 +2243,206 @@ mod tests {
         );
         // And the untouched base passes.
         verify_eco_placement(&base, &pins).unwrap();
+    }
+
+    /// The rescan quench the incremental [`quench`] replaced: every
+    /// candidate applies itself to `locs` and rescans every pin of every
+    /// net it touches. Kept as the reference the incremental quench must
+    /// match move for move.
+    fn quench_reference(
+        nets: &NetModel,
+        sites: &Locs,
+        locs: &mut Locs,
+        movable: &Mask,
+        timing: Option<&TimingCtx>,
+    ) {
+        let mut free = free_sites(locs, sites);
+        let beats = |cand: (f64, f64), incumbent: (f64, f64)| -> bool {
+            cand.0 < incumbent.0 - 1e-9
+                || (cand.0 < incumbent.0 + 1e-9 && cand.1 < incumbent.1 - 1e-9)
+        };
+        let mut both = Affected::default();
+        for _ in 0..16 {
+            let mut improved = false;
+            for kind in 0..3usize {
+                for idx in 0..locs[kind].len() {
+                    let my_nets: Vec<NetId> =
+                        nets.of_entity[kind][idx].iter().map(|p| p.net).collect();
+                    if !movable[kind][idx] || my_nets.is_empty() {
+                        continue;
+                    }
+                    let cur_site = locs[kind][idx];
+                    let before = nets.cost_of(&my_nets, locs, timing);
+                    let mut best_delta = (0.0f64, 0.0f64);
+                    let mut best_move: Option<(Result<usize, usize>, (usize, usize))> = None;
+                    for (f, &site) in free[kind].iter().enumerate() {
+                        locs[kind][idx] = site;
+                        let after = nets.cost_of(&my_nets, locs, timing);
+                        locs[kind][idx] = cur_site;
+                        let delta = (after.0 - before.0, after.1 - before.1);
+                        if beats(delta, best_delta) {
+                            best_delta = delta;
+                            best_move = Some((Ok(f), site));
+                        }
+                    }
+                    for o in 0..locs[kind].len() {
+                        if o == idx || !movable[kind][o] {
+                            continue;
+                        }
+                        let swap = Move {
+                            kind,
+                            idx,
+                            other: Some(o),
+                            from: cur_site,
+                            to: locs[kind][o],
+                        };
+                        nets.affected(kind, idx, Some(o), &mut both);
+                        let b0 = nets.cost_of(&both.nets, locs, timing);
+                        swap.apply(locs);
+                        let a0 = nets.cost_of(&both.nets, locs, timing);
+                        swap.revert(locs);
+                        let delta = (a0.0 - b0.0, a0.1 - b0.1);
+                        if beats(delta, best_delta) {
+                            best_delta = delta;
+                            best_move = Some((Err(o), swap.to));
+                        }
+                    }
+                    match best_move {
+                        Some((Ok(f), site)) => {
+                            locs[kind][idx] = site;
+                            free[kind].swap_remove(f);
+                            free[kind].push(cur_site);
+                        }
+                        Some((Err(o), site)) => {
+                            locs[kind][o] = cur_site;
+                            locs[kind][idx] = site;
+                        }
+                        None => continue,
+                    }
+                    improved = true;
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+    }
+
+    /// A random netlist with no combinational loop: LUTs read primary
+    /// inputs, register outputs and earlier LUTs, biased toward a few
+    /// hub nets so some nets fan out widely; a few BRAMs give the BRAM
+    /// kind entities too.
+    fn random_netlist(rng: &mut SmallRng) -> Netlist {
+        let mut n = Netlist::new("random");
+        let mut nets = Vec::new();
+        for i in 0..rng.random_range(1..6usize) {
+            let net = n.add_net(format!("in{i}"));
+            n.add_input(format!("in{i}"), net);
+            nets.push(net);
+        }
+        let qs: Vec<NetId> = (0..rng.random_range(0..16usize))
+            .map(|i| n.add_net(format!("q{i}")))
+            .collect();
+        nets.extend(&qs);
+        let pick = |rng: &mut SmallRng, nets: &[NetId]| {
+            if rng.random_bool(0.3) {
+                nets[rng.random_range(0..nets.len().min(3))]
+            } else {
+                nets[rng.random_range(0..nets.len())]
+            }
+        };
+        for i in 0..rng.random_range(4..80usize) {
+            let mut inputs: Vec<NetId> = (0..rng.random_range(1..5usize))
+                .map(|_| pick(rng, &nets))
+                .collect();
+            inputs.sort_unstable();
+            inputs.dedup();
+            let output = n.add_net(format!("l{i}"));
+            let truth = rng.random::<u64>() & ((1u64 << (1 << inputs.len())) - 1);
+            n.add_cell(Cell::Lut {
+                inputs,
+                output,
+                truth,
+            });
+            nets.push(output);
+        }
+        for i in 0..rng.random_range(0..4usize) {
+            let shape = BramShape::ALL[rng.random_range(0..BramShape::ALL.len())];
+            let addr: Vec<NetId> = (0..shape.addr_bits).map(|_| pick(rng, &nets)).collect();
+            let dout: Vec<NetId> = (0..rng.random_range(1..3usize))
+                .map(|b| n.add_net(format!("b{i}_{b}")))
+                .collect();
+            n.add_cell(Cell::Bram {
+                shape,
+                addr,
+                dout: dout.clone(),
+                en: None,
+                init: vec![0; shape.depth()],
+                output_init: 0,
+                write: None,
+            });
+            nets.extend(dout);
+        }
+        for &q in &qs {
+            let d = pick(rng, &nets);
+            n.add_cell(Cell::Ff {
+                d,
+                q,
+                ce: None,
+                init: false,
+            });
+        }
+        for i in 0..rng.random_range(1..6usize) {
+            let net = pick(rng, &nets);
+            n.add_output(format!("out{i}"), net);
+        }
+        n
+    }
+
+    #[test]
+    fn incremental_quench_matches_the_rescan_reference() {
+        run_cases(48, |rng| {
+            let netlist = random_netlist(rng);
+            let packed = pack(&netlist);
+            let Some(device) = ["XC2V40", "XC2V80", "XC2V250"]
+                .into_iter()
+                .filter_map(Device::by_name)
+                .find(|d| sites_for(&packed, d).1.is_none())
+            else {
+                return;
+            };
+            let (sites, _) = sites_for(&packed, &device);
+            let counts = [packed.clbs.len(), packed.brams.len(), packed.iobs.len()];
+            // A random legal layout: a shuffled prefix of each kind's sites.
+            let locs: Locs = std::array::from_fn(|k| {
+                let mut s = sites[k].clone();
+                for i in (1..s.len()).rev() {
+                    s.swap(i, rng.random_range(0..=i));
+                }
+                s.truncate(counts[k]);
+                s
+            });
+            // Everything movable (full placement) or a random few (ECO).
+            let share = if rng.random_bool(0.5) {
+                1.0
+            } else {
+                0.05 + 0.45 * rng.random::<f64>()
+            };
+            let movable: Mask = counts.map(|c| (0..c).map(|_| rng.random_bool(share)).collect());
+            let nets = NetModel::new(&netlist, &packed);
+            let timing = if rng.random_bool(0.5) {
+                TimingCtx::build(&netlist, &PlaceOptions::default()).map(|mut t| {
+                    t.refresh(&nets.active, &nets.boxes(&locs));
+                    t
+                })
+            } else {
+                None
+            };
+            let mut fast = locs.clone();
+            let mut reference = locs;
+            quench(&nets, &sites, &mut fast, &movable, timing.as_ref());
+            quench_reference(&nets, &sites, &mut reference, &movable, timing.as_ref());
+            assert_eq!(fast, reference, "timing {}", timing.is_some());
+        });
     }
 }
