@@ -15,6 +15,7 @@
 #    of the table1 harness bin must print byte-identical tables;
 #  * bench regression — a fresh run of the keyb micro-benchmarks must
 #    leave synthesize_fsm/keyb, place_sa_ff/keyb (FF-baseline netlist),
+#    place_sa_emb/keyb (plain EMB netlist),
 #    place_eco/keyb (ECO over the clock-controlled EMB netlist),
 #    place_timing_kernel/keyb, route/keyb, and verify_exhaustive/keyb
 #    each no more than 25% slower than the
@@ -167,7 +168,7 @@ else
     BENCH_FILTER=keyb BENCH_RESULTS_DIR="$fresh_dir" \
         cargo bench -q --offline -p paper-bench --bench substrates \
         || fail "bench run failed"
-    for gate in synthesize_fsm/keyb place_sa_ff/keyb place_eco/keyb place_timing_kernel/keyb route/keyb verify_exhaustive/keyb; do
+    for gate in synthesize_fsm/keyb place_sa_ff/keyb place_sa_emb/keyb place_eco/keyb place_timing_kernel/keyb route/keyb verify_exhaustive/keyb; do
         baseline=$(sed -n 's#.*"name": "'"$gate"'", "median_ns": \([0-9.]*\).*#\1#p' \
             results/bench_substrates.json)
         [ -n "$baseline" ] || fail "no $gate baseline in results/bench_substrates.json"
