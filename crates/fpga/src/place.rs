@@ -844,6 +844,7 @@ enum Holder {
 /// vacated site's pool index without a search.
 #[derive(Debug, Clone)]
 struct Occupancy {
+    width: usize,
     height: usize,
     cells: Vec<Holder>,
 }
@@ -853,6 +854,7 @@ impl Occupancy {
         let width = sites.iter().map(|s| s.0 + 1).max().unwrap_or(0);
         let height = sites.iter().map(|s| s.1 + 1).max().unwrap_or(0);
         let mut occ = Occupancy {
+            width,
             height,
             cells: vec![Holder::NoSite; width * height],
         };
@@ -863,10 +865,6 @@ impl Occupancy {
             occ.set(s, Holder::Entity(i));
         }
         occ
-    }
-
-    fn width(&self) -> usize {
-        self.cells.len() / self.height.max(1)
     }
 
     fn get(&self, (x, y): (usize, usize)) -> Holder {
@@ -927,7 +925,7 @@ impl Pools {
         let in_window = |s: (usize, usize)| s.0.abs_diff(from.0).max(s.1.abs_diff(from.1)) <= reach;
         let pool = &self.free[kind];
         let occ = &self.occupancy[kind];
-        let xs = from.0.saturating_sub(reach)..=from.0.saturating_add(reach).min(occ.width() - 1);
+        let xs = from.0.saturating_sub(reach)..=from.0.saturating_add(reach).min(occ.width - 1);
         let ys = from.1.saturating_sub(reach)..=from.1.saturating_add(reach).min(occ.height - 1);
         self.free_cands.clear();
         self.swap_cands.clear();
